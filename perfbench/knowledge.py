@@ -111,10 +111,10 @@ def spot_check(datasets, registry, table) -> int:
 def run(ctx) -> dict:
     from repro.learners import default_registry
 
-    # Set-up takes tens of milliseconds here, so it is repeated more often
-    # than in the online workloads to keep its median steady.
+    # Set-up takes about ten milliseconds here, so it is repeated far more
+    # often than in the online workloads to keep its median steady.
     setups = []
-    for _ in range(7):
+    for _ in range(25):
         start = time.perf_counter()
         datasets = make_inputs(ctx.seed)
         registry = default_registry().subset(common.BENCH_CATALOGUE)
