@@ -56,6 +56,58 @@ def draw(datasets, n: int, seed: int):
     return drawn
 
 
+# Host-speed correction.  On a shared host the speed of one vCPU drifts by
+# tens of percent over seconds to minutes while other tenants load the same
+# cores: on the reference machine (2 vCPUs) the medians of a fixed
+# pure-Python loop over 15-20 s windows spread by 0.25-0.36 (IQR / median),
+# the two vCPUs drift independently (correlation 0.1), and a learner
+# workload's window times follow the loop run between its operations on the
+# same vCPU (correlation 0.98).  So every timed operation is bracketed by a
+# short calibration loop, and its wall time is scaled by the reference loop
+# time over the mean of the two calibrations around it: the result is in
+# seconds at the reference speed.  Raw wall times stay in the run record.
+CALIBRATION_LOOPS = 20_000
+CALIBRATION_REPEATS = 3  # the fastest of three: an interrupt spoils one only
+CALIBRATION_REF_S = 0.0018  # the loop's typical time on the reference machine
+
+
+def calibrate() -> float:
+    """Seconds the fixed calibration loop takes on this vCPU right now."""
+    times = []
+    for _ in range(CALIBRATION_REPEATS):
+        start = time.perf_counter()
+        total = 0
+        for i in range(CALIBRATION_LOOPS):
+            total += i * i % 7
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+class Clock:
+    """Times operations in reference-speed seconds (see ``calibrate``)."""
+
+    def __init__(self) -> None:
+        self.last = calibrate()
+        self.raw_s: list[float] = []
+        self.factors: list[float] = []
+
+    def measure(self, fn, *args, **kwargs):
+        """``(result, corrected_seconds, raw_seconds)`` of one call."""
+        before = self.last
+        start = time.perf_counter()
+        result = fn(*args, **kwargs)
+        raw = time.perf_counter() - start
+        self.last = calibrate()
+        factor = CALIBRATION_REF_S / ((before + self.last) / 2.0)
+        self.raw_s.append(raw)
+        self.factors.append(factor)
+        return result, raw * factor, raw
+
+    def record(self) -> dict:
+        """Raw wall times and speed factors behind the corrected timings."""
+        return {"raw_s": self.raw_s, "speed_factor": self.factors}
+
+
 def quantile(values, q: float) -> float:
     """Linear-interpolated quantile (``q`` in [0, 1]) of a non-empty sample."""
     ordered = sorted(values)

@@ -17,7 +17,7 @@ import spans
 # D4–D8 and D12, numeric, mixed and categorical-rule problems with 2–3
 # classes.  The seed draws their records (see ``common.draw``).
 KNOWLEDGE_SHAPES = (3, 4, 5, 6, 7, 11)
-POOL_RECORDS = 60
+POOL_RECORDS = 44
 KNOWLEDGE_RECORDS = 40
 N_PAPERS = 20
 # Cells re-scored independently of the engine after every run (cheap ones).
@@ -49,8 +49,11 @@ def make_designer():
     )
 
 
-def build(datasets, registry, store_dir):
-    """One knowledge build; returns (seconds, phases, table, corpus, dmd_result)."""
+def build(clock, datasets, registry, store_dir):
+    """One knowledge build, each phase timed on ``clock``.
+
+    Returns (seconds, raw wall seconds, phases, table, corpus, dmd_result).
+    """
     from repro.corpus import CorpusConfig, generate_corpus
     from repro.evaluation import PerformanceTable
     from repro.execution import ResultStore
@@ -58,20 +61,22 @@ def build(datasets, registry, store_dir):
     common.cold_caches()
     store = ResultStore(store_dir)
     designer = make_designer()
-    start = time.perf_counter()
-    table = PerformanceTable.compute(
+    table, table_s, table_raw = clock.measure(
+        PerformanceTable.compute,
         datasets, registry=registry, tune=False, cv=3,
         max_records=KNOWLEDGE_RECORDS, random_state=0, n_workers=1, store=store,
     )
-    table_s = time.perf_counter() - start
-    corpus, _ = spans.span(
-        "corpus.generate", generate_corpus, datasets, registry=registry,
+    (corpus, _), corpus_s, corpus_raw = clock.measure(
+        spans.span, "corpus.generate", generate_corpus, datasets, registry=registry,
         config=CorpusConfig(n_papers=N_PAPERS, random_state=0), performance=table,
     )
-    result = designer.run(corpus, {d.name: d for d in datasets})
-    seconds = time.perf_counter() - start
+    result, dmd_s, dmd_raw = clock.measure(
+        designer.run, corpus, {d.name: d for d in datasets}
+    )
     store.close()
-    return seconds, {"table_s": table_s, "dmd_s": seconds - table_s}, table, corpus, result
+    phases = {"table_s": table_s, "corpus_s": corpus_s, "dmd_s": dmd_s}
+    return (table_s + corpus_s + dmd_s, table_raw + corpus_raw + dmd_raw, phases,
+            table, corpus, result)
 
 
 def outputs(table, corpus, result) -> dict:
@@ -113,16 +118,19 @@ def run(ctx) -> dict:
 
     # Set-up takes about ten milliseconds here, so it is repeated far more
     # often than in the online workloads to keep its median steady.
+    def make_setup():
+        datasets = make_inputs(ctx.seed)
+        return datasets, default_registry().subset(common.BENCH_CATALOGUE)
+
+    clock = common.Clock()
     setups = []
     for _ in range(25):
-        start = time.perf_counter()
-        datasets = make_inputs(ctx.seed)
-        registry = default_registry().subset(common.BENCH_CATALOGUE)
-        setups.append(time.perf_counter() - start)
+        (datasets, registry), seconds, _ = clock.measure(make_setup)
+        setups.append(seconds)
 
     expected = ctx.expected("knowledge_build")
     cells_per_build = len(datasets) * len(registry)
-    times, phases, agreements, problems = [], [], [], []
+    times, raw_times, phases, agreements, problems = [], [], [], [], []
     attempted = failed = fallback_cells = 0
     first = None
     untraced = []
@@ -131,15 +139,16 @@ def run(ctx) -> dict:
         if ctx.trace:
             # Alternate untraced and traced builds: the pair's difference is
             # the tracing overhead, and only traced builds feed the layers.
-            seconds, *_ = build(datasets, registry, ctx.work.fresh("store"))
+            seconds, *_ = build(clock, datasets, registry, ctx.work.fresh("store"))
             untraced.append(seconds)
-            spans.RECORDER.active = True
-        seconds, phase_s, table, corpus, result = build(
-            datasets, registry, ctx.work.fresh("store")
+            spans.enable()
+        seconds, raw, phase_s, table, corpus, result = build(
+            clock, datasets, registry, ctx.work.fresh("store")
         )
         phases.append(phase_s)
-        spans.RECORDER.active = False
+        spans.disable()
         times.append(seconds)
+        raw_times.append(raw)
         agreements.append(result.diagnostics["training_selection_agreement"])
         attempted += cells_per_build + 1  # the cells and the corpus
         # A cell whose algorithm crashed falls back to the worst score.
@@ -158,10 +167,12 @@ def run(ctx) -> dict:
             problems.append(f"build {len(times)} differs from build 1: {got} vs {first}")
             failed += cells_per_build
         elapsed = time.perf_counter() - loop_start
-        if elapsed + common.median(times) * (2 if ctx.trace else 1) > ctx.seconds:
+        if elapsed + common.median(raw_times) * (2 if ctx.trace else 1) > ctx.seconds:
             break
 
     failed += fallback_cells
+    if fallback_cells:
+        problems.append(f"{fallback_cells} table cells fell back to the worst score")
     mismatches = spot_check(datasets, registry, table)
     attempted += len(SPOT_CHECK)
     if mismatches:
@@ -175,6 +186,7 @@ def run(ctx) -> dict:
         "samples": {"build_s": len(times), "setup_s": len(setups)},
         "outputs": first,
         "build_phases_s": phases,
+        "clock": clock.record(),
         "build_agreement": agreements,
         "problems": problems,
     }
@@ -186,7 +198,7 @@ def run(ctx) -> dict:
     if ctx.trace:
         record["samples"]["untraced_build_s"] = len(untraced)
         metrics = {
-            "wall_s": sum(times),
+            "wall_s": sum(raw_times),
             "overhead_frac": common.median(times) / common.median(untraced) - 1.0,
             "core.build_agreement": common.median(agreements),
         }

@@ -21,16 +21,26 @@ import time
 import common
 import spans
 
-# Three rounds over the eight module groups: tree, lazy, bayes, linear,
-# rules, misc, neural, regression.
+# Three rounds over the eight module groups (tree, lazy, bayes, linear,
+# rules, misc, neural, regression), then three more regression requests.
 ROTATION = [
     "J48", "IBk", "NaiveBayes", "LDA", "OneR", "HyperPipes", "RBFNetwork", "Ridge",
     "REPTree", "KStar", "BayesNet", "Logistic", "ZeroR", "VFI", "RBFNetwork",
     "KNeighborsRegressor",
     "SimpleCart", "LWL", "NaiveBayes", "SimpleLogistic", "OneR",
     "ClassificationViaRegression", "RBFNetwork", "Lasso",
+    "SVR", "DummyRegressor", "Ridge",
 ]
-POOL_RECORDS = 160
+# A pass sends the rotation three times, each time pairing the algorithms
+# with other datasets: 81 distinct requests whose costs spread densely from
+# a few milliseconds to about half a second.  So the p50 and p75 fall among
+# many requests of similar cost; with one round they fell on one request,
+# whose cost alone moves by 10-20% between seeds.
+LAYOUTS = 3
+# RegressionTree is left out: cross-validating its default configuration
+# takes 0.2-0.4 s here, too close to the probe limit below.
+REGRESSORS = {"Ridge", "Lasso", "KNeighborsRegressor", "SVR", "DummyRegressor"}
+POOL_RECORDS = 140
 REQUEST_RECORDS = 120
 MAX_EVALUATIONS = 10
 CV = 3
@@ -38,22 +48,29 @@ PROBE_LIMIT_S = 0.5  # a quarter of the UDR's 2 s GA/BO probe threshold
 
 
 def make_inputs(seed: int):
-    """The 21 Table XI test shapes plus three regression datasets."""
+    """Requests over the 21 Table XI test shapes and six regression datasets."""
     from repro.datasets import regression_suite, test_suite
 
     classification = test_suite(
         max_records=POOL_RECORDS, max_numeric=25, random_state=common.POOL_SEED
     )
     regression = regression_suite(
-        n_datasets=3, min_records=POOL_RECORDS, max_records=POOL_RECORDS,
+        n_datasets=6, min_records=POOL_RECORDS, max_records=POOL_RECORDS,
         random_state=common.POOL_SEED,
     )
     classification = common.draw(classification, REQUEST_RECORDS, seed)
     regression = common.draw(regression, REQUEST_RECORDS, seed)
-    requests, c, r = [], iter(classification), iter(regression)
-    for algorithm in ROTATION:
-        is_regression = algorithm in ("Ridge", "KNeighborsRegressor", "Lasso")
-        requests.append((next(r) if is_regression else next(c), algorithm))
+    requests = []
+    for layout in range(LAYOUTS):
+        c = layout * 5  # shifts under which no pair repeats
+        r = layout * 2
+        for algorithm in ROTATION:
+            if algorithm in REGRESSORS:
+                requests.append((regression[r % len(regression)], algorithm))
+                r += 1
+            else:
+                requests.append((classification[c % len(classification)], algorithm))
+                c += 1
     return requests
 
 
@@ -71,20 +88,21 @@ def setup(ctx):
     return requests, {"classification": classifier, "regression": regressor}
 
 
-def request(models, dataset, algorithm, store_dir):
-    """One timed request; returns (seconds, solution)."""
+def request(clock, models, dataset, algorithm, store_dir):
+    """One request timed on ``clock``; returns (seconds, raw seconds, solution)."""
     from repro.execution import ResultStore
+
+    def recommend():
+        model.select_algorithms([dataset])
+        return model.responder(cv=CV, tuning_max_records=REQUEST_RECORDS).respond(
+            dataset, time_limit=None, max_evaluations=MAX_EVALUATIONS, algorithm=algorithm
+        )
 
     model = models[dataset.task.value]
     model.store = ResultStore(store_dir)
-    start = time.perf_counter()
-    model.select_algorithms([dataset])
-    solution = model.responder(cv=CV, tuning_max_records=REQUEST_RECORDS).respond(
-        dataset, time_limit=None, max_evaluations=MAX_EVALUATIONS, algorithm=algorithm
-    )
-    seconds = time.perf_counter() - start
+    solution, seconds, raw = clock.measure(recommend)
     model.store.close()
-    return seconds, solution
+    return seconds, raw, solution
 
 
 def answer(solution) -> str:
@@ -94,27 +112,28 @@ def answer(solution) -> str:
     )
 
 
-def one_pass(ctx, models, requests, traced: bool):
+def one_pass(ctx, clock, models, requests, traced: bool):
     common.cold_caches()
-    spans.RECORDER.active = traced
+    if traced:
+        spans.enable()
     results = []
     for dataset, algorithm in requests:
-        results.append(request(models, dataset, algorithm, ctx.work.fresh("store")))
-    spans.RECORDER.active = False
+        results.append(request(clock, models, dataset, algorithm, ctx.work.fresh("store")))
+    spans.disable()
     return results
 
 
 def run(ctx) -> dict:
     from repro.evaluation import evaluate_algorithm
 
+    clock = common.Clock()
     setups = []
     for _ in range(3):
-        start = time.perf_counter()
-        requests, models = setup(ctx)
-        setups.append(time.perf_counter() - start)
+        (requests, models), seconds, _ = clock.measure(setup, ctx)
+        setups.append(seconds)
 
     expected = ctx.expected("recommend_tune")
-    latencies, pass_times, untraced = [], [], []
+    latencies, pass_times, raw_pass_times, untraced = [], [], [], []
     evaluations = crashed = 0
     first = None
     problems = []
@@ -122,11 +141,12 @@ def run(ctx) -> dict:
     loop_start = time.perf_counter()
     while True:
         if ctx.trace:
-            untraced.append(sum(t for t, _ in one_pass(ctx, models, requests, False)))
-        results = one_pass(ctx, models, requests, ctx.trace)
-        pass_times.append(sum(t for t, _ in results))
-        answers = [answer(solution) for _, solution in results]
-        for seconds, solution in results:
+            untraced.append(sum(t for t, _, _ in one_pass(ctx, clock, models, requests, False)))
+        results = one_pass(ctx, clock, models, requests, ctx.trace)
+        pass_times.append(sum(t for t, _, _ in results))
+        raw_pass_times.append(sum(raw for _, raw, _ in results))
+        answers = [answer(solution) for _, _, solution in results]
+        for seconds, _, solution in results:
             latencies.append(seconds)
             evaluations += solution.n_evaluations
             crashes = solution.engine_stats.get("n_crashes", 0)
@@ -135,11 +155,12 @@ def run(ctx) -> dict:
             failed += crashes
         if first is None:
             first = answers
-            scores = [solution.cv_score for _, solution in results]
+            scores = [solution.cv_score for _, _, solution in results]
             if ctx.record:
                 ctx.save_reference("recommend_tune", answers)
             elif expected is not None:
                 wrong = sum(a != b for a, b in zip(answers, expected))
+                wrong += abs(len(answers) - len(expected))
                 if wrong:
                     problems.append(f"{wrong} tuned answers differ from the reference")
                     failed += wrong
@@ -148,14 +169,14 @@ def run(ctx) -> dict:
             problems.append(f"{wrong} tuned answers differ from the first pass")
             failed += wrong
         elapsed = time.perf_counter() - loop_start
-        if elapsed + common.median(pass_times) * (2 if ctx.trace else 1) > ctx.seconds:
+        if elapsed + common.median(raw_pass_times) * (2 if ctx.trace else 1) > ctx.seconds:
             break
 
     # Independent re-score of every returned configuration.  The default
     # configuration's cost is what the UDR probes; it must stay far below the
     # probe threshold so the GA/BO choice cannot flip between runs.
     probes = []
-    for (dataset, algorithm), (_, solution) in zip(requests, results):
+    for (dataset, algorithm), (_, _, solution) in zip(requests, results):
         attempted += 1
         model = models[dataset.task.value]
         protocol = dict(cv=CV, max_records=REQUEST_RECORDS, random_state=0,
@@ -163,9 +184,10 @@ def run(ctx) -> dict:
         rescored = evaluate_algorithm(
             model.registry, algorithm, dataset, config=solution.config, **protocol
         )
-        start = time.perf_counter()
-        evaluate_algorithm(model.registry, algorithm, dataset, **protocol)
-        probes.append(time.perf_counter() - start)
+        _, seconds, _ = clock.measure(
+            evaluate_algorithm, model.registry, algorithm, dataset, **protocol
+        )
+        probes.append(seconds)
         if abs(rescored - solution.cv_score) > 1e-9:
             failed += 1
             problems.append(
@@ -186,6 +208,7 @@ def run(ctx) -> dict:
                    "crashed_trials": crashed, "max_probe_s": max(probes)},
         "samples": {"recommend_p50_s": len(latencies), "recommend_p75_s": len(latencies),
                     "tune_trials_per_s": len(pass_times), "setup_s": len(setups)},
+        "clock": clock.record(),
         "problems": problems,
     }
     metrics = {
@@ -199,7 +222,7 @@ def run(ctx) -> dict:
     if ctx.trace:
         record["samples"]["untraced_pass_s"] = len(untraced)
         metrics = {
-            "wall_s": total_time,
+            "wall_s": sum(raw_pass_times),
             "overhead_frac": common.median(pass_times) / common.median(untraced) - 1.0,
         }
     return {"correct": not problems, "attempted": attempted, "failed": failed,

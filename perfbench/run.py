@@ -138,9 +138,11 @@ def run_workload(name: str, args, work) -> dict:
                          "serve_recommend": "serve"}[name])
     ctx = Context(args, work)
     if ctx.trace:
-        spans.install()
         spans.RECORDER.reset()
-    result = module.run(ctx)
+    try:
+        result = module.run(ctx)
+    finally:
+        spans.disable()
     record = {
         "workload": name,
         "seed": args.seed,

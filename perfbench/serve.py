@@ -9,10 +9,12 @@ Load: requests are due on a fixed-rate schedule and sent over one keep-alive
 connection per CPU (two at most); each request's latency runs from its due
 time, so a stall also delays the requests queued behind it.  Bodies range
 from about 100 to 1000 rows.  Most datasets repeat (meta-feature cache hits)
-and a share is fresh (misses).  One request in ten is ``GET /healthz``.
-The run measures a base rate, then a ladder of higher rates; the highest
-rate whose p95 meets the latency limit is interpolated between the last rung
-that meets it and the first that does not.
+and a share is fresh (misses).  The run measures a base rate, then a ladder
+of higher rates; the highest rate whose p95 meets the latency limit is
+interpolated between the last rung that meets it and the first that does
+not.  After the schedule, a short closed loop (each connection sends as soon
+as its previous answer arrives) measures the capacity the rates are set
+against, for the run record.
 
 Why: HTTP, the dispatcher, meta-feature extraction, the DMD forward pass and
 store reads do all the work here; learners do none.
@@ -33,16 +35,35 @@ MODEL = "bench"
 # The tuning protocol whose stored results the dispatcher serves: its
 # defaults, which the pool workers and the in-process server both use.
 DISPATCH = {"cv": 5, "tuning_max_records": 400, "random_state": 0}
-N_TUNED = 4
 TUNE_EVALUATIONS = 6
 REQUEST_RECORDS = 1000
 DRAWN_SHARE = 0.9  # the seed draws 90% of each pool dataset's records
 N_REPEATED = 14  # Table XI shapes whose datasets recur in the mix
-FRESH_EVERY = 5  # one request in five carries a never-seen dataset
+# The request mix.  The repository holds no record of real traffic, so the
+# three shares below are assumptions, fixed so that runs stay comparable;
+# each is chosen for the code path it keeps in the measured mix:
+# * one request in five carries a never-seen dataset, so the meta-feature
+#   memo answers about four recommend requests in five: serve_p50_ms
+#   measures the memo-hit path and serve_p95_ms full extraction;
+# * one request in ten is ``GET /healthz``, a load balancer's probe, the
+#   small share the benchmark's issue asks for;
+# * 4 of the 14 repeated datasets are tuned during set-up, so about one
+#   recommend request in five reads its configuration from the store.
+FRESH_EVERY = 5
 HEALTHZ_EVERY = 10
+N_TUNED = 4
+# The rates, against one worker's measured capacity on this mix: on the
+# reference machine (2 vCPUs) the closed loop after the schedule sustains
+# about 33-36 requests/s over two connections at a 52-59 ms p50, a
+# per-connection round trip that the server's CPU time (about 11 ms p50 when
+# unloaded) does not explain.  The base rate, 20/s, is about 0.55-0.6 of that
+# capacity, so it measures unloaded latency; the ladder spans about 0.8 to
+# 1.9 of it, so the knee falls inside the ladder.  The run record gives each
+# run's own capacity.
 BASE_RATE = 20.0  # requests per second, for 60% of the run
 LADDER = (28.0, 36.0, 44.0, 52.0, 64.0)
 LATENCY_LIMIT_MS = 250.0
+CAPACITY_REQUESTS = 72  # about two seconds of the closed loop
 # One pool worker: the load generator keeps the other CPU of the reference
 # machine, and each worker's meta-feature memo sees every repeated dataset,
 # so the hit pattern does not depend on how the kernel spreads connections.
@@ -136,6 +157,8 @@ def count_fresh(phases) -> int:
 class Client:
     """Open-loop sender over a few keep-alive connections."""
 
+    START_DELAY_S = 0.05  # due times count from this long after ``run`` starts
+
     def __init__(self, host: str, port: int, bodies: dict) -> None:
         self.host, self.port, self.bodies = host, port, bodies
 
@@ -172,7 +195,7 @@ class Client:
         results: list[dict | None] = [None] * len(items)
         lock = threading.Lock()
         cursor = [0]
-        start = time.perf_counter() + 0.05
+        start = time.perf_counter() + self.START_DELAY_S
 
         def worker() -> None:
             conn = self.connect()
@@ -343,6 +366,26 @@ def max_rate(results) -> float:
     return previous_rate
 
 
+def closed_loop(client, items, n_connections) -> tuple[list[dict], dict]:
+    """Resend the mix's last requests back to back on every connection.
+
+    Returns the request records (phase ``capacity``) and the capacity:
+    answered requests per second and their p50 service time."""
+    probe = [(0.0, "capacity", kind, name) for _, _, kind, name in items[-CAPACITY_REQUESTS:]]
+    start = time.perf_counter()
+    results = client.run(probe, n_connections)
+    elapsed = time.perf_counter() - start - client.START_DELAY_S
+    answered = [r for r in results if r["status"] == 200]
+    rps = len(answered) / elapsed
+    return results, {
+        "requests": len(probe),
+        "connections": n_connections,
+        "rps": rps,
+        "service_p50_ms": common.quantile([r["service_ms"] for r in answered], 0.5),
+        "rates_share": [rate / rps for rate in (BASE_RATE, *LADDER)],
+    }
+
+
 def decode_ms(inputs) -> float:
     """``dataset_from_json`` on the request bodies, median ms per body."""
     from repro.service import dataset_from_json
@@ -363,11 +406,13 @@ def run(ctx) -> dict:
     n_conn = connections()
     pooled = not ctx.trace
 
+    clock = common.Clock()
     setups = []
     for attempt in range(3):
-        start = time.perf_counter()
-        root, tuned, server, host, port, stop = setup(ctx, inputs, pooled)
-        setups.append(time.perf_counter() - start)
+        (root, tuned, server, host, port, stop), seconds, _ = clock.measure(
+            setup, ctx, inputs, pooled
+        )
+        setups.append(seconds)
         if attempt < 2:
             stop()
     problems = []
@@ -375,16 +420,20 @@ def run(ctx) -> dict:
         client = Client(host, port, inputs.bodies)
         if ctx.trace:
             untraced = client.run([i for i in items if i[1] == "untraced"], n_conn)
-            spans.RECORDER.active = True
+            spans.enable()
             traced = client.run(
                 [(due - phases[0][2], *rest) for due, *rest in items if rest[0] == "traced"],
                 n_conn,
             )
-            spans.RECORDER.active = False
+            spans.disable()
             results = untraced + traced
         else:
             results = client.run(items, n_conn)
         server_metrics = client.get("/metrics")
+        capacity = None
+        if pooled:
+            probe, capacity = closed_loop(client, items, n_conn)
+            results += probe
         rss = common.rss_mb(server.worker_pids if pooled else ())
     finally:
         stop()
@@ -428,8 +477,10 @@ def run(ctx) -> dict:
             "setup_s": len(setups),
         },
         "rates": {label: rate for label, rate, _ in phases},
+        "capacity": capacity,
         "latency_limit_ms": LATENCY_LIMIT_MS,
         "feature_cache": server_metrics.get("dispatcher", {}).get("feature_cache"),
+        "clock": clock.record(),
         "problems": problems,
     }
     client_p50 = common.quantile(base_latencies, 0.50)

@@ -1,11 +1,12 @@
 """In-memory span recorder for the traced benchmark run.
 
-The benchmark never adds spans inside ``src/``.  Instead, ``install()`` wraps
+The benchmark never adds spans inside ``src/``.  Instead, ``enable()`` wraps
 the public entry points of each layer with timing spans from this file, and
 the recorder aggregates them per layer label: call count, inclusive time and
 self time (a span's duration minus the part covered by its child spans).
-Nothing is written while the benchmark runs; ``summary()`` is read once at
-the end.
+``disable()`` restores the original entry points, so untraced repetitions
+run the program unwrapped.  Nothing is written while the benchmark runs;
+``summary()`` is read once at the end.
 
 Two rules keep the layer numbers meaningful:
 
@@ -106,7 +107,6 @@ def _wrap(label, fn, absorb=(), after=None):
             after(result)
         return result
 
-    wrapper.__wrapped_by_perfbench__ = True
     return wrapper
 
 
@@ -115,6 +115,8 @@ def _learner_wrap(op: str, fn):
 
     @functools.wraps(fn)
     def wrapper(self, *args, **kwargs):
+        if not RECORDER.active:
+            return fn(self, *args, **kwargs)
         module = type(self).__module__.rpartition(".")[2]
         if module not in LEARNER_MODULES:
             return fn(self, *args, **kwargs)
@@ -126,8 +128,14 @@ def _learner_wrap(op: str, fn):
     return wrapper
 
 
+# ``(owner, name, original attribute)`` of every wrapped entry point, in the
+# order they were wrapped; empty while the wrappers are not installed.
+_ORIGINALS: list = []
+
+
 def _patch(owner, name, make):
     original = owner.__dict__[name]
+    _ORIGINALS.append((owner, name, original))
     if isinstance(original, classmethod):
         setattr(owner, name, classmethod(make(original.__func__)))
     else:
@@ -167,8 +175,8 @@ def _feature_cache_wrap(fn):
     return wrapper
 
 
-def install() -> None:
-    """Wrap every layer's public entry points (idempotent per process)."""
+def _install() -> None:
+    """Wrap every layer's public entry points (a no-op while installed)."""
     import inspect
 
     from repro import learners
@@ -187,7 +195,7 @@ def install() -> None:
     from repro.service import ModelRegistry
     from repro.service import http as service_http
 
-    if getattr(PerformanceTable.compute, "__wrapped_by_perfbench__", False):
+    if _ORIGINALS:
         return
 
     # Learners: every estimator class of the catalogue modules (and the two
@@ -227,7 +235,26 @@ def install() -> None:
     for name in ("get", "get_key", "top_k", "image", "items"):
         wrap(ResultStore, name, "execution.store.read")
     wrap(ModelRegistry, "resolve", "service.registry.resolve")
-    service_http.dataset_from_json = _wrap("service.http.decode", service_http.dataset_from_json)
+    wrap(service_http, "dataset_from_json", "service.http.decode")
+
+
+def _uninstall() -> None:
+    """Restore every entry point :func:`_install` wrapped."""
+    while _ORIGINALS:
+        owner, name, original = _ORIGINALS.pop()
+        setattr(owner, name, original)
+
+
+def enable() -> None:
+    """Install the wrappers and start recording spans."""
+    _install()
+    RECORDER.active = True
+
+
+def disable() -> None:
+    """Stop recording and run the program unwrapped again."""
+    RECORDER.active = False
+    _uninstall()
 
 
 def span(label: str, fn, *args, **kwargs):
