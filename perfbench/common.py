@@ -10,6 +10,7 @@ import os
 import platform
 import resource
 import shutil
+import signal
 import statistics
 import sys
 import time
@@ -61,51 +62,95 @@ def draw(datasets, n: int, seed: int):
 # cores: on the reference machine (2 vCPUs) the medians of a fixed
 # pure-Python loop over 15-20 s windows spread by 0.25-0.36 (IQR / median),
 # the two vCPUs drift independently (correlation 0.1), and a learner
-# workload's window times follow the loop run between its operations on the
-# same vCPU (correlation 0.98).  So every timed operation is bracketed by a
-# short calibration loop, and its wall time is scaled by the reference loop
-# time over the mean of the two calibrations around it: the result is in
-# seconds at the reference speed.  Raw wall times stay in the run record.
-CALIBRATION_LOOPS = 20_000
-CALIBRATION_REPEATS = 3  # the fastest of three: an interrupt spoils one only
-CALIBRATION_REF_S = 0.0018  # the loop's typical time on the reference machine
+# workload's window times follow the loop run on the same vCPU (correlation
+# 0.98).  So the clock samples the vCPU's speed while each operation runs:
+# a timer signal runs a short calibration chunk every 20 ms of the
+# operation, and a few chunks run before and after it.  The operation's wall
+# time, less the chunks run inside it, is scaled by the reference chunk time
+# over the median of those samples: the result is in seconds at the
+# reference speed.  Raw wall times and speed factors stay in the run record.
+CHUNK_LOOPS = 4_000
+CHUNK_REF_S = 0.00036  # the chunk's typical time on the reference machine
+BRACKET_CHUNKS = 5
+SAMPLE_INTERVAL_S = 0.02
 
 
-def calibrate() -> float:
-    """Seconds the fixed calibration loop takes on this vCPU right now."""
-    times = []
-    for _ in range(CALIBRATION_REPEATS):
-        start = time.perf_counter()
-        total = 0
-        for i in range(CALIBRATION_LOOPS):
-            total += i * i % 7
-        times.append(time.perf_counter() - start)
-    return min(times)
+def chunk() -> float:
+    """Seconds one calibration chunk takes on this vCPU right now."""
+    start = time.perf_counter()
+    total = 0
+    for i in range(CHUNK_LOOPS):
+        total += i * i % 7
+    return time.perf_counter() - start
+
+
+def calibrate() -> list[float]:
+    return [chunk() for _ in range(BRACKET_CHUNKS)]
+
+
+class Sampler:
+    """Calibration chunks run by a ``SIGALRM`` timer while the block runs.
+
+    Use it from the main thread only: Python runs signal handlers there."""
+
+    def __init__(self) -> None:
+        self.samples: list[tuple[float, float]] = []  # (finished at, seconds)
+
+    def _sample(self, signum, frame) -> None:
+        seconds = chunk()
+        self.samples.append((time.perf_counter(), seconds))
+
+    def __enter__(self) -> "Sampler":
+        self._previous = signal.signal(signal.SIGALRM, self._sample)
+        signal.setitimer(signal.ITIMER_REAL, SAMPLE_INTERVAL_S, SAMPLE_INTERVAL_S)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        signal.setitimer(signal.ITIMER_REAL, 0.0, 0.0)
+        signal.signal(signal.SIGALRM, self._previous)
+
+    def between(self, start: float, end: float) -> list[float]:
+        """Chunk times of the samples that finished between two instants."""
+        return [seconds for at, seconds in self.samples if start <= at <= end]
+
+    def spent(self) -> float:
+        return sum(seconds for _, seconds in self.samples)
 
 
 class Clock:
-    """Times operations in reference-speed seconds (see ``calibrate``)."""
+    """Times operations in reference-speed seconds (see ``chunk``).
+
+    Call ``measure`` from the main thread only (see ``Sampler``).
+    """
 
     def __init__(self) -> None:
         self.last = calibrate()
         self.raw_s: list[float] = []
         self.factors: list[float] = []
+        self.inside_s: list[float] = []
 
     def measure(self, fn, *args, **kwargs):
-        """``(result, corrected_seconds, raw_seconds)`` of one call."""
+        """``(result, corrected_seconds, wall_seconds)`` of one call.
+
+        The wall time includes the chunks run inside the call; the
+        corrected time leaves them out."""
         before = self.last
-        start = time.perf_counter()
-        result = fn(*args, **kwargs)
-        raw = time.perf_counter() - start
+        with Sampler() as sampler:
+            start = time.perf_counter()
+            result = fn(*args, **kwargs)
+            raw = time.perf_counter() - start
+        inside = [seconds for _, seconds in sampler.samples]
         self.last = calibrate()
-        factor = CALIBRATION_REF_S / ((before + self.last) / 2.0)
+        factor = CHUNK_REF_S / statistics.median(before + inside + self.last)
         self.raw_s.append(raw)
         self.factors.append(factor)
-        return result, raw * factor, raw
+        self.inside_s.append(sum(inside))
+        return result, (raw - sum(inside)) * factor, raw
 
     def record(self) -> dict:
         """Raw wall times and speed factors behind the corrected timings."""
-        return {"raw_s": self.raw_s, "speed_factor": self.factors}
+        return {"raw_s": self.raw_s, "speed_factor": self.factors,
+                "chunks_inside_s": self.inside_s}
 
 
 def quantile(values, q: float) -> float:

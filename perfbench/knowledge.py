@@ -183,7 +183,9 @@ def run(ctx) -> dict:
         "counts": {"builds": len(times), "cells_per_build": cells_per_build,
                    "datasets": len(datasets), "algorithms": len(registry),
                    "fallback_cells": fallback_cells},
-        "samples": {"build_s": len(times), "setup_s": len(setups)},
+        "samples": {"latency_p50_ms": len(times), "latency_p75_ms": len(times),
+                    "throughput_per_s": len(times),
+                    "setup_s": len(setups)},
         "outputs": first,
         "build_phases_s": phases,
         "clock": clock.record(),
@@ -193,7 +195,10 @@ def run(ctx) -> dict:
     metrics = {
         "setup_s": common.metric(common.median(setups), "s"),
         "peak_rss_mb": common.metric(common.rss_mb(), "MB"),
-        "build_s": common.metric(common.median(times), "s"),
+        "latency_p50_ms": common.metric(common.median(times) * 1000.0, "ms"),
+        "latency_p75_ms": common.metric(common.quantile(times, 0.75) * 1000.0, "ms"),
+        "throughput_per_s": common.metric(cells_per_build * len(times) / sum(times), "1/s"),
+        "score_mean": common.metric(float(table.scores.mean()), "score"),
     }
     if ctx.trace:
         record["samples"]["untraced_build_s"] = len(untraced)

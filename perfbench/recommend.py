@@ -206,18 +206,19 @@ def run(ctx) -> dict:
         "counts": {"passes": len(pass_times), "requests": len(latencies),
                    "requests_per_pass": len(requests), "evaluations": evaluations,
                    "crashed_trials": crashed, "max_probe_s": max(probes)},
-        "samples": {"recommend_p50_s": len(latencies), "recommend_p75_s": len(latencies),
-                    "tune_trials_per_s": len(pass_times), "setup_s": len(setups)},
+        "samples": {"latency_p50_ms": len(latencies), "latency_p75_ms": len(latencies),
+                    "throughput_per_s": len(pass_times),
+                    "setup_s": len(setups)},
         "clock": clock.record(),
         "problems": problems,
     }
     metrics = {
         "setup_s": common.metric(common.median(setups), "s"),
         "peak_rss_mb": common.metric(common.rss_mb(), "MB"),
-        "recommend_p50_s": common.metric(common.quantile(latencies, 0.50), "s"),
-        "recommend_p75_s": common.metric(common.quantile(latencies, 0.75), "s"),
-        "tune_trials_per_s": common.metric(evaluations / total_time, "1/s"),
-        "tune_score_mean": common.metric(sum(scores) / len(scores), "score"),
+        "latency_p50_ms": common.metric(common.quantile(latencies, 0.50) * 1000.0, "ms"),
+        "latency_p75_ms": common.metric(common.quantile(latencies, 0.75) * 1000.0, "ms"),
+        "throughput_per_s": common.metric(evaluations / total_time, "1/s"),
+        "score_mean": common.metric(sum(scores) / len(scores), "score"),
     }
     if ctx.trace:
         record["samples"]["untraced_pass_s"] = len(untraced)

@@ -12,7 +12,8 @@ per-layer metrics instead.  The last stdout line is one JSON object with
 ``correct``, ``attempted``, ``failed`` and ``metrics``; the line before it is
 the run record (environment, seed, counts and the sample count behind each
 percentile).  The exit code is 0 when every output check passed, 1 when one
-failed and 2 when the benchmark could not run.
+failed and 2 when the benchmark could not run or a single workload's
+metrics differ from the names and units ``BENCHMARK.json`` lists.
 
 ``--record`` stores the outputs of the given seed in ``reference.json``;
 later runs of that seed compare their outputs against it.
@@ -130,6 +131,20 @@ def per_layer(summary: dict, extras: dict) -> dict:
     return {name: common.metric(value, unit) for name, (value, unit) in m.items()}
 
 
+def manifest_mismatch(metrics: dict, trace: bool) -> list[str]:
+    """Metrics whose name or unit differs from ``BENCHMARK.json``'s list."""
+    manifest = ROOT / "BENCHMARK.json"
+    if not manifest.is_file():
+        return []
+    wanted = json.loads(manifest.read_text())["per_layer" if trace else "end_to_end"]
+    units = {entry["name"]: entry["unit"] for entry in wanted}
+    names = set(units) | set(metrics)
+    return sorted(
+        name for name in names
+        if name not in metrics or metrics[name]["unit"] != units.get(name)
+    )
+
+
 def run_workload(name: str, args, work) -> dict:
     import common
     import spans
@@ -190,6 +205,11 @@ def main(argv=None) -> int:
         if len(results) == 1:
             result = results[0]
             record, metrics = result["record"], result["metrics"]
+            mismatch = manifest_mismatch(metrics, bool(args.trace))
+            if mismatch:
+                print(f"perfbench: metrics differ from BENCHMARK.json: {mismatch}",
+                      file=sys.stderr)
+                return 2
         else:
             record = {r["record"]["workload"]: r["record"] for r in results}
             metrics = {
