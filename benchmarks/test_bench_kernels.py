@@ -10,8 +10,10 @@ Also quantifies the engine data plane's dispatch saving: per-trial submits
 must pickle the objective *without* its matrices, and every process-backend
 trial must re-bind the payload from its worker-local registry.
 
-Each run refreshes ``benchmarks/BENCH_kernels.json`` with the measured
-numbers; the committed snapshot records the machine-of-record baseline.
+Each run writes the measured numbers to the git-ignored
+``.benchmarks/BENCH_kernels.json`` at the repository root.  The committed
+``benchmarks/BENCH_kernels.json`` is the machine-of-record baseline; runs
+never rewrite it, so running the suite leaves the working tree clean.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ from repro.learners.forest import RandomForest
 from repro.learners.lazy import IBk
 from repro.learners.tree import DecisionTreeClassifier
 
-SNAPSHOT = Path(__file__).parent / "BENCH_kernels.json"
+#: Where each run records its numbers (git-ignored).
+SNAPSHOT = Path(__file__).parent.parent / ".benchmarks" / "BENCH_kernels.json"
 
 #: Floors enforced on every run (ISSUE 10 acceptance): the kernels must be at
 #: least this much faster than the frozen loops on the same data.
@@ -62,6 +65,7 @@ def _time(fn, repeats: int = 3) -> float:
 def _update_snapshot(section: str, payload: dict) -> None:
     data = json.loads(SNAPSHOT.read_text()) if SNAPSHOT.exists() else {}
     data[section] = payload
+    SNAPSHOT.parent.mkdir(parents=True, exist_ok=True)
     SNAPSHOT.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 

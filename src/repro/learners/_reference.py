@@ -23,7 +23,7 @@ from .base import BaseClassifier
 from .forest import RandomForest
 from .lazy import IBk, KStar, LWL, _pairwise_sq_distances_exact
 from .regression import DecisionTreeRegressor, KNeighborsRegressor, _RegressionNode
-from .tree import DecisionTreeClassifier, _class_distribution, _entropy, _Node
+from .tree import DecisionTreeClassifier, _entropy, _Node
 
 __all__ = [
     "ReferenceDecisionTree",
@@ -34,6 +34,12 @@ __all__ = [
     "ReferenceDecisionTreeRegressor",
     "ReferenceKNeighborsRegressor",
 ]
+
+
+def _class_distribution(y: np.ndarray, n_classes: int) -> np.ndarray:
+    counts = np.bincount(y, minlength=n_classes).astype(np.float64)
+    total = counts.sum()
+    return counts / total if total > 0 else np.full(n_classes, 1.0 / n_classes)
 
 
 class ReferenceDecisionTree(DecisionTreeClassifier):

@@ -48,7 +48,7 @@ class RandomForest(BaseClassifier):
             raise ValueError("n_estimators must be >= 1")
         rng = np.random.default_rng(self.random_state)
         n = X.shape[0]
-        # The per-feature stable sort orders are computed ONCE per forest and
+        # The (F, n) stable sort-order matrix is computed ONCE per forest and
         # shared by every member: each tree expands them by its bootstrap
         # multiplicities instead of re-sorting its sampled matrix at every
         # node.  Split scores only read cumulative label counts at value-run

@@ -6,17 +6,20 @@ algorithm.  That makes the learners' inner loops the hottest code in the whole
 system — every CV fold of every trial of every optimizer runs them.  This
 module collects those loops as array kernels:
 
-* **Split search** (:func:`best_split_classification`,
-  :func:`best_split_regression`) — a LightGBM-style cumulative-count scan:
-  one-hot label counts are cumulatively summed along a feature's sort order so
-  the impurity of *every* candidate threshold is evaluated in one vectorized
-  pass instead of a Python loop over ``n_samples - 1`` positions.
+* **Split search** (:func:`best_split_stacked`,
+  :func:`best_split_regression`) — a LightGBM-style cumulative-count scan.
+  A classification node gathers the sorted labels of all ``k`` candidate
+  features as one ``(k, n)`` array; one cumulative sum over its ``(k, n, C)``
+  one-hot and one impurity pass score every threshold of every candidate,
+  so a node costs one kernel call instead of one per feature.  Regression
+  trees scan prefix sums one feature at a time.
 * **Sort-order reuse** (:func:`feature_orders`, :func:`filter_orders`,
-  :func:`expand_orders`) — per-feature stable sort orders are computed once
-  per fit (once per *forest*, shared by every member tree) and filtered down
-  recursively; no node ever calls ``argsort`` again.  Filtering a stable
-  full-dataset order by a membership mask yields exactly the stable argsort of
-  the subset, so splits are bit-identical to the per-node-sort implementation.
+  :func:`expand_orders`) — per-feature stable sort orders are one ``(F, n)``
+  int matrix, computed once per fit (once per *forest*, shared by every
+  member tree) and filtered down the recursion with one vectorized op; no
+  node ever calls ``argsort`` again.  Filtering a stable full-dataset order
+  by a membership mask yields exactly the stable argsort of the subset, so
+  splits are bit-identical to the per-node-sort implementation.
 * **Flat tree inference** (:class:`FlatTree`, :func:`flat_predict_indices`) —
   fitted trees are flattened into feature/threshold/child arrays and a whole
   matrix is walked iteratively, level by level, replacing the per-row
@@ -44,7 +47,7 @@ __all__ = [
     "feature_orders",
     "filter_orders",
     "expand_orders",
-    "best_split_classification",
+    "best_split_stacked",
     "best_split_regression",
     "FlatTree",
     "flatten_tree",
@@ -55,8 +58,9 @@ __all__ = [
     "DEFAULT_CHUNK_ELEMENTS",
 ]
 
-#: Upper bound on the number of float64 elements a chunked distance pass may
-#: materialise at once (~32 MB).  Tests shrink it to force multi-chunk paths.
+#: Upper bound on the number of float64 elements a chunked distance or split
+#: pass may materialise at once (~32 MB).  Tests shrink it to force
+#: multi-chunk paths.
 DEFAULT_CHUNK_ELEMENTS = 4_000_000
 
 
@@ -64,27 +68,28 @@ DEFAULT_CHUNK_ELEMENTS = 4_000_000
 # Sort-order management
 # ---------------------------------------------------------------------------
 
-def feature_orders(X: np.ndarray) -> list[np.ndarray]:
+def feature_orders(X: np.ndarray) -> np.ndarray:
     """Stable per-feature sort orders of ``X``, computed once per fit.
 
-    Returns one ``int64`` index array per column.  A list (rather than one
-    ``(F, n)`` matrix) lets the recursion shrink each feature independently.
+    Returns an ``(F, n)`` ``int64`` matrix whose row ``j`` is the stable
+    argsort of column ``j``.  Every row holds the same row ids, so filtering
+    and expansion keep the matrix rectangular.
     """
-    return [np.argsort(X[:, j], kind="stable") for j in range(X.shape[1])]
+    return np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
 
 
-def filter_orders(orders: list[np.ndarray], keep: np.ndarray) -> list[np.ndarray]:
+def filter_orders(orders: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Restrict every feature order to the rows where ``keep`` is True.
 
     ``keep`` is indexed by the *base-row ids stored in the orders*.  Because
-    the parent orders are stable, the filtered arrays are exactly the stable
+    the parent orders are stable, the filtered rows are exactly the stable
     argsort of the surviving rows — equal feature values keep their original
     relative order.
     """
-    return [order[keep[order]] for order in orders]
+    return orders[keep[orders]].reshape(orders.shape[0], -1)
 
 
-def expand_orders(orders: list[np.ndarray], counts: np.ndarray) -> list[np.ndarray]:
+def expand_orders(orders: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Expand base-row orders by bootstrap multiplicity ``counts``.
 
     Rows with ``counts[i] == 0`` drop out; rows drawn ``c`` times appear ``c``
@@ -95,10 +100,7 @@ def expand_orders(orders: list[np.ndarray], counts: np.ndarray) -> list[np.ndarr
     invariant — so the chosen splits, and therefore the fitted tree, are
     identical.
     """
-    return [
-        np.repeat(kept, counts[kept])
-        for kept in (order[counts[order] > 0] for order in orders)
-    ]
+    return np.repeat(orders.ravel(), counts[orders.ravel()]).reshape(orders.shape[0], -1)
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +108,7 @@ def expand_orders(orders: list[np.ndarray], counts: np.ndarray) -> list[np.ndarr
 # ---------------------------------------------------------------------------
 
 def _impurity_matrix(counts: np.ndarray, totals: np.ndarray, criterion: str) -> np.ndarray:
-    """Impurity of each row of ``counts`` (one candidate split side per row).
+    """Impurity of each candidate split side; classes run along the last axis.
 
     Replicates the scalar helpers of :mod:`repro.learners.tree` operation for
     operation — ``gini``: ``1 - Σ (c/t)²``; ``entropy``: ``-Σ p·log2(p)`` over
@@ -114,68 +116,75 @@ def _impurity_matrix(counts: np.ndarray, totals: np.ndarray, criterion: str) -> 
     """
     p = counts / totals[:, None]
     if criterion == "gini":
-        return 1.0 - np.sum(p * p, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(counts > 0, p * np.log2(p), 0.0)
-    return -np.sum(terms, axis=1)
+        return 1.0 - np.sum(p * p, axis=-1)
+    # log2(1) == 0, so empty classes contribute 0.0 * 0.0 — an exact 0.0.
+    return -np.sum(p * np.log2(np.where(counts > 0, p, 1.0)), axis=-1)
 
 
-def best_split_classification(
-    values: np.ndarray,
-    labels: np.ndarray,
+def best_split_stacked(
+    X: np.ndarray,
+    y: np.ndarray,
+    orders: np.ndarray,
+    candidates: np.ndarray,
     parent_counts: np.ndarray,
     parent_impurity: float,
     criterion: str,
     min_samples_leaf: int,
     min_impurity_decrease: float,
-) -> tuple[float, float, float] | None:
-    """Best threshold on one feature via a cumulative-bincount scan.
+) -> tuple[int, float, float] | None:
+    """Best ``(feature, threshold, decrease)`` over all candidate features.
 
-    ``values``/``labels`` are the node's samples in (stable) feature-sorted
-    order.  Returns ``(score, threshold, decrease)`` for the first-best valid
-    position, or ``None`` — matching the historical Python loop's strict
-    ``score > best`` update rule, which keeps the earliest position among
-    equal scores.
+    ``orders`` is the node's ``(F, n)`` sort-order matrix.  The rows of the
+    ``candidates`` features are gathered as ``(k, n)`` sorted values and
+    labels; one cumulative sum over their ``(k, n, C)`` one-hot labels gives
+    the left-side class counts at every position, and one impurity pass
+    scores every threshold of every candidate.  A row-major ``argmax`` picks
+    the earliest candidate (in ``candidates`` order) holding the maximum,
+    then its earliest position — the tie rule of a strict ``score > best``
+    loop over candidates and positions.  Candidates are scored in chunks of
+    at most :data:`DEFAULT_CHUNK_ELEMENTS` one-hot elements, the maximum
+    carried across chunks with the same strict ``>``.
     """
-    n = values.shape[0]
-    n_classes = parent_counts.shape[0]
+    n = orders.shape[1]
     if n < 2:
         return None
-    # Cumulative one-hot label counts: left side of split position i holds
-    # samples 0..i, exactly the loop's running ``left_counts``.
-    one_hot = np.zeros((n, n_classes), dtype=np.float64)
-    one_hot[np.arange(n), labels] = 1.0
-    cum = np.cumsum(one_hot, axis=0)
-    left = cum[:-1]
-    right = parent_counts.astype(np.float64)[None, :] - left
-
+    n_classes = parent_counts.shape[0]
+    one_hot_rows = np.eye(n_classes)
+    parent = parent_counts.astype(np.float64)
     n_left = np.arange(1, n, dtype=np.float64)
     n_right = n - n_left
-    valid = values[:-1] != values[1:]
-    if min_samples_leaf > 1:
-        valid &= (n_left >= min_samples_leaf) & (n_right >= min_samples_leaf)
-    if not valid.any():
-        return None
-
-    weighted = (
-        n_left * _impurity_matrix(left, n_left, criterion)
-        + n_right * _impurity_matrix(right, n_right, criterion)
-    ) / n
-    decrease = parent_impurity - weighted
+    size_ok = (n_left >= min_samples_leaf) & (n_right >= min_samples_leaf)
     if criterion == "gain_ratio":
         p_left = n_left / n
         p_right = n_right / n
         split_info = -(p_left * np.log2(p_left) + p_right * np.log2(p_right))
-        score = np.where(split_info > 0, decrease / split_info, 0.0)
-    else:
-        score = decrease
-    valid &= decrease > min_impurity_decrease
-    if not valid.any():
-        return None
-    masked = np.where(valid, score, -np.inf)
-    i = int(np.argmax(masked))  # first maximum — the loop's tie-breaking rule
-    threshold = float((values[i] + values[i + 1]) / 2.0)
-    return float(masked[i]), threshold, float(decrease[i])
+    best: tuple[int, float, float] | None = None
+    best_score = -np.inf
+    for chunk in query_chunks(candidates.shape[0], n * n_classes):
+        features = candidates[chunk]
+        rows = orders[features]
+        values = X[rows, features[:, None]]
+        # Left side of split position i holds sorted samples 0..i.
+        left = np.cumsum(one_hot_rows[y[rows]], axis=1)[:, :-1]
+        right = parent - left
+        weighted = (
+            n_left * _impurity_matrix(left, n_left, criterion)
+            + n_right * _impurity_matrix(right, n_right, criterion)
+        ) / n
+        decrease = parent_impurity - weighted
+        if criterion == "gain_ratio":
+            score = np.where(split_info > 0, decrease / split_info, 0.0)
+        else:
+            score = decrease
+        valid = (values[:, :-1] != values[:, 1:]) & size_ok
+        valid &= decrease > min_impurity_decrease
+        masked = np.where(valid, score, -np.inf)
+        r, i = divmod(int(np.argmax(masked)), n - 1)
+        if masked[r, i] > best_score:
+            best_score = masked[r, i]
+            threshold = float((values[r, i] + values[r, i + 1]) / 2.0)
+            best = (int(features[r]), threshold, float(decrease[r, i]))
+    return best
 
 
 def best_split_regression(

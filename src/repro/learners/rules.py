@@ -107,8 +107,7 @@ class _SequentialCovering(BaseClassifier):
                 values = X[mask, feature]
                 if values.size == 0:
                     continue
-                for quantile in (25, 50, 75):
-                    threshold = float(np.percentile(values, quantile))
+                for threshold in np.percentile(values, (25, 50, 75)).tolist():
                     for op in ("<=", ">"):
                         candidate_mask = mask & (
                             X[:, feature] <= threshold

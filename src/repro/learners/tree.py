@@ -10,11 +10,12 @@ budget) and ``DecisionStump`` (depth 1).
 
 The fitting and prediction inner loops run on the vectorized kernels of
 :mod:`repro.learners.kernels`: per-feature stable sort orders are computed
-once per fit (and shared across a whole forest) instead of re-sorting at
-every node, every candidate threshold of a feature is scored in one
-cumulative-bincount pass, and prediction walks the flattened tree arrays for
-a whole matrix at a time.  Results are identical to the historical pure-Python
-implementation (frozen in :mod:`repro.learners._reference` and pinned by
+once per fit (and shared across a whole forest) as one ``(F, n)`` matrix
+instead of re-sorting at every node, every threshold of every candidate
+feature of a node is scored in one stacked cumulative-count pass, and
+prediction walks the flattened tree arrays for a whole matrix at a time.
+Results are identical to the historical pure-Python implementation (frozen
+in :mod:`repro.learners._reference` and pinned by
 ``tests/learners/test_kernel_equivalence.py``).
 """
 
@@ -55,12 +56,6 @@ class _Node:
     @property
     def is_leaf(self) -> bool:
         return self.feature is None
-
-
-def _class_distribution(y: np.ndarray, n_classes: int) -> np.ndarray:
-    counts = np.bincount(y, minlength=n_classes).astype(np.float64)
-    total = counts.sum()
-    return counts / total if total > 0 else np.full(n_classes, 1.0 / n_classes)
 
 
 def _entropy(counts: np.ndarray) -> float:
@@ -139,72 +134,63 @@ class DecisionTreeClassifier(BaseClassifier):
         self,
         X: np.ndarray,
         y: np.ndarray,
-        orders: list[np.ndarray],
+        orders: np.ndarray,
+        counts: np.ndarray,
+        impurity: float,
         rng: np.random.Generator,
     ) -> tuple[int, float, float] | None:
         """Return ``(feature, threshold, impurity_decrease)`` or ``None``.
 
-        ``orders`` holds the node's sample ids (into ``X``/``y``) in stable
-        sorted order, one array per feature, so the kernel scores every
-        candidate threshold of a feature in one cumulative-bincount pass and
-        no ``argsort`` happens here.  Feature candidates are drawn with the
-        same RNG calls as the historical per-node loop; ties keep the
-        earliest feature and earliest position, as before.
+        ``orders`` is the node's ``(F, n)`` matrix of sample ids (into
+        ``X``/``y``) in stable per-feature sorted order; ``counts`` and
+        ``impurity`` are the node's class counts and impurity.  One stacked
+        kernel call scores every threshold of every candidate feature, and no
+        ``argsort`` happens here.  Feature candidates are drawn with the same
+        RNG calls as the historical per-node loop; ties keep the earliest
+        candidate and earliest position, as before.
         """
         n_features = X.shape[1]
-        parent_counts = np.bincount(y[orders[0]], minlength=self._n_classes)
-        parent_impurity = self._impurity(parent_counts)
         k = self._n_candidate_features(n_features)
         candidates = (
             np.arange(n_features)
             if k >= n_features
             else rng.choice(n_features, size=k, replace=False)
         )
-        best: tuple[int, float, float] | None = None
-        best_score = -np.inf
-        for feature in candidates:
-            order = orders[feature]
-            result = kernels.best_split_classification(
-                X[order, feature],
-                y[order],
-                parent_counts,
-                parent_impurity,
-                self.criterion,
-                int(self.min_samples_leaf),
-                self.min_impurity_decrease,
-            )
-            if result is None:
-                continue
-            score, threshold, decrease = result
-            if score > best_score:
-                best_score = score
-                best = (int(feature), threshold, decrease)
-        return best
+        return kernels.best_split_stacked(
+            X,
+            y,
+            orders,
+            candidates,
+            counts,
+            impurity,
+            self.criterion,
+            int(self.min_samples_leaf),
+            self.min_impurity_decrease,
+        )
 
     def _build(
         self,
         X: np.ndarray,
         y: np.ndarray,
-        orders: list[np.ndarray],
+        orders: np.ndarray,
         depth: int,
         rng: np.random.Generator,
     ) -> _Node:
-        node_y = y[orders[0]]
-        counts = np.bincount(node_y, minlength=self._n_classes)
+        counts = np.bincount(y[orders[0]], minlength=self._n_classes)
         node = _Node(
-            prediction=_class_distribution(node_y, self._n_classes),
-            n_samples=len(node_y),
+            prediction=counts / orders.shape[1],
+            n_samples=orders.shape[1],
             depth=depth,
             impurity=self._impurity(counts),
         )
         if (
             np.count_nonzero(counts) <= 1
-            or len(node_y) < self.min_samples_split
+            or orders.shape[1] < self.min_samples_split
             or (self.max_depth is not None and depth >= self.max_depth)
             or (self.max_nodes is not None and self._n_internal >= self.max_nodes)
         ):
             return node
-        split = self._best_split(X, y, orders, rng)
+        split = self._best_split(X, y, orders, counts, node.impurity, rng)
         if split is None:
             return node
         feature, threshold, _ = split
@@ -225,8 +211,8 @@ class DecisionTreeClassifier(BaseClassifier):
         self._n_classes = int(len(self.classes_))
         self._n_internal = 0
         rng = np.random.default_rng(self.random_state)
-        # Per-feature stable sort orders, computed once per fit and filtered
-        # down the recursion — no node ever sorts again.
+        # The (F, n) per-feature stable sort-order matrix, computed once per
+        # fit and filtered down the recursion — no node ever sorts again.
         orders = kernels.feature_orders(X)
         self.tree_ = self._build(X, y, orders, depth=0, rng=rng)
         self._flat = kernels.flatten_tree(self.tree_, self._n_classes)
@@ -236,7 +222,7 @@ class DecisionTreeClassifier(BaseClassifier):
         X: np.ndarray,
         y: np.ndarray,
         counts: np.ndarray,
-        base_orders: list[np.ndarray],
+        base_orders: np.ndarray,
         n_classes: int,
     ) -> "DecisionTreeClassifier":
         """Forest fast path: fit on a bootstrap multiset of pre-validated rows.
@@ -254,7 +240,7 @@ class DecisionTreeClassifier(BaseClassifier):
         self._n_internal = 0
         rng = np.random.default_rng(self.random_state)
         if counts.min() == 1 and counts.max() == 1:
-            orders = list(base_orders)
+            orders = base_orders
         else:
             orders = kernels.expand_orders(base_orders, counts)
         self.tree_ = self._build(X, y, orders, depth=0, rng=rng)

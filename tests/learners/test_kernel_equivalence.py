@@ -161,6 +161,66 @@ def test_extra_trees_bit_identical():
     _assert_identical(live, ref, Xq)
 
 
+def _duplicated_columns():
+    # Columns 3..5 repeat columns 0..2, so every split has an equal-scoring
+    # twin on another feature and only the candidate order can break the tie.
+    X, y, _ = _split(_ties)
+    return X[:, [0, 1, 2, 0, 1, 2]], y
+
+
+def test_random_tree_cross_feature_ties_follow_candidate_order():
+    X, y = _duplicated_columns()
+    root_candidates = np.random.default_rng(7).choice(6, size=4, replace=False)
+    assert not np.all(np.diff(root_candidates) > 0), "candidate order is ascending"
+    live = RandomTree(max_features=4, random_state=7).fit(X, y)
+    ref = ReferenceDecisionTree(
+        criterion="entropy", max_features=4, min_samples_split=2, random_state=7
+    ).fit(X, y)
+    assert live.export_params() == ref.export_params()
+
+
+def test_random_forest_cross_feature_ties_follow_candidate_order():
+    X, y = _duplicated_columns()
+    live = RandomForest(n_estimators=6, max_features=4, random_state=11).fit(X, y)
+    ref = ReferenceRandomForest(n_estimators=6, max_features=4, random_state=11).fit(X, y)
+    assert live.export_params() == ref.export_params()
+
+
+def test_chunked_split_search_matches_single_chunk(monkeypatch):
+    # Force the stacked split kernel through several candidate chunks; the
+    # first maximum carried across chunks must give the single-chunk trees,
+    # also when a split's equal-scoring twin column sits in a later chunk.
+    X, y = _duplicated_columns()
+    single = [
+        SimpleCart(random_state=0).fit(X, y).export_params(),
+        RandomTree(max_features=4, random_state=7).fit(X, y).export_params(),
+        RandomForest(n_estimators=4, random_state=11).fit(X, y).export_params(),
+    ]
+    monkeypatch.setattr(kernels, "DEFAULT_CHUNK_ELEMENTS", 2 * X.shape[0] * 3)
+    chunks = list(kernels.query_chunks(X.shape[1], X.shape[0] * 3))
+    assert len(chunks) > 1, "budget too large to force chunking"
+    chunked = [
+        SimpleCart(random_state=0).fit(X, y).export_params(),
+        RandomTree(max_features=4, random_state=7).fit(X, y).export_params(),
+        RandomForest(n_estimators=4, random_state=11).fit(X, y).export_params(),
+    ]
+    assert chunked == single
+
+
+@pytest.mark.parametrize("ties", [False, True], ids=["continuous", "tie-heavy"])
+def test_rule_quartiles_match_scalar_percentile(ties):
+    # The rule learners take their three candidate thresholds from one
+    # vector percentile call; it must equal three scalar calls bit for bit.
+    rng = np.random.default_rng(12)
+    for _ in range(2000):
+        values = rng.normal(size=int(rng.integers(1, 60))) * 10.0
+        if ties:
+            values = np.round(values / 5.0)
+        batched = np.percentile(values, (25, 50, 75)).tolist()
+        scalar = [float(np.percentile(values, q)) for q in (25, 50, 75)]
+        assert batched == scalar
+
+
 @pytest.mark.parametrize("dataset", sorted(DATASETS))
 @pytest.mark.parametrize(
     "kwargs",
