@@ -229,8 +229,8 @@ class DecisionTreeClassifier(BaseClassifier):
 
         ``X``/``y`` are the forest's already-encoded training arrays;
         ``counts[i]`` is how many times base row ``i`` appears in this
-        member's sample, and ``base_orders`` are the forest-wide sort orders
-        computed once per ensemble fit.  The forest guarantees every class
+        member's sample, and ``base_orders`` is the forest-wide ``(F, n)``
+        sort-order matrix computed once per ensemble fit.  The forest guarantees every class
         appears in the sample, so the member's label encoding is the
         identity — exactly what refitting on ``X[idx]`` used to produce.
         """
@@ -239,10 +239,7 @@ class DecisionTreeClassifier(BaseClassifier):
         self._n_classes = int(n_classes)
         self._n_internal = 0
         rng = np.random.default_rng(self.random_state)
-        if counts.min() == 1 and counts.max() == 1:
-            orders = base_orders
-        else:
-            orders = kernels.expand_orders(base_orders, counts)
+        orders = kernels.expand_orders(base_orders, counts)
         self.tree_ = self._build(X, y, orders, depth=0, rng=rng)
         self._flat = kernels.flatten_tree(self.tree_, self._n_classes)
         return self
