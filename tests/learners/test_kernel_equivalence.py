@@ -191,20 +191,19 @@ def test_chunked_split_search_matches_single_chunk(monkeypatch):
     # first maximum carried across chunks must give the single-chunk trees,
     # also when a split's equal-scoring twin column sits in a later chunk.
     X, y = _duplicated_columns()
-    single = [
-        SimpleCart(random_state=0).fit(X, y).export_params(),
-        RandomTree(max_features=4, random_state=7).fit(X, y).export_params(),
-        RandomForest(n_estimators=4, random_state=11).fit(X, y).export_params(),
-    ]
+
+    def structures():
+        return [
+            SimpleCart(random_state=0).fit(X, y).export_params(),
+            RandomTree(max_features=4, random_state=7).fit(X, y).export_params(),
+            RandomForest(n_estimators=4, random_state=11).fit(X, y).export_params(),
+        ]
+
+    single = structures()
     monkeypatch.setattr(kernels, "DEFAULT_CHUNK_ELEMENTS", 2 * X.shape[0] * 3)
     chunks = list(kernels.query_chunks(X.shape[1], X.shape[0] * 3))
     assert len(chunks) > 1, "budget too large to force chunking"
-    chunked = [
-        SimpleCart(random_state=0).fit(X, y).export_params(),
-        RandomTree(max_features=4, random_state=7).fit(X, y).export_params(),
-        RandomForest(n_estimators=4, random_state=11).fit(X, y).export_params(),
-    ]
-    assert chunked == single
+    assert structures() == single
 
 
 @pytest.mark.parametrize("ties", [False, True], ids=["continuous", "tie-heavy"])
