@@ -23,7 +23,7 @@ from .base import BaseClassifier
 from .forest import RandomForest
 from .lazy import IBk, KStar, LWL, _pairwise_sq_distances_exact
 from .regression import DecisionTreeRegressor, KNeighborsRegressor, _RegressionNode
-from .tree import DecisionTreeClassifier, _entropy, _Node
+from .tree import DecisionTreeClassifier, _Node
 
 __all__ = [
     "ReferenceDecisionTree",
@@ -36,6 +36,22 @@ __all__ = [
 ]
 
 
+def _entropy(counts: np.ndarray) -> float:
+    total = counts.sum()
+    if total == 0:
+        return 0.0
+    p = counts[counts > 0] / total
+    return float(-np.sum(p * np.log2(p)))
+
+
+def _gini(counts: np.ndarray) -> float:
+    total = counts.sum()
+    if total == 0:
+        return 0.0
+    p = counts / total
+    return float(1.0 - np.sum(p * p))
+
+
 def _class_distribution(y: np.ndarray, n_classes: int) -> np.ndarray:
     counts = np.bincount(y, minlength=n_classes).astype(np.float64)
     total = counts.sum()
@@ -44,6 +60,11 @@ def _class_distribution(y: np.ndarray, n_classes: int) -> np.ndarray:
 
 class ReferenceDecisionTree(DecisionTreeClassifier):
     """The pre-kernel tree: per-node stable argsort + Python threshold loop."""
+
+    def _impurity(self, counts: np.ndarray) -> float:
+        if self.criterion == "gini":
+            return _gini(counts)
+        return _entropy(counts)
 
     def _best_split(
         self, X: np.ndarray, y: np.ndarray, rng: np.random.Generator

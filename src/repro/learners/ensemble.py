@@ -8,11 +8,21 @@ Implemented analogues: ``Bagging``, ``AdaBoostM1``, ``LogitBoost``,
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .. import obs
+from . import kernels
 from .base import BaseClassifier, clone
-from .tree import DecisionStump, DecisionTreeClassifier, J48, RandomTree
+from .tree import (
+    DecisionStump,
+    DecisionTreeClassifier,
+    J48,
+    RandomTree,
+    as_member,
+    grow_together,
+)
 
 __all__ = [
     "Bagging",
@@ -62,18 +72,36 @@ class Bagging(BaseClassifier):
         rng = np.random.default_rng(self.random_state)
         base = self.base_estimator if self.base_estimator is not None else _default_base()
         n = X.shape[0]
+        n_classes = len(self.classes_)
         sample_size = max(2, int(round(self.max_samples * n)))
         self.estimators_: list[BaseClassifier] = []
+        trees, samples = [], []
         for _ in range(int(self.n_estimators)):
             idx = rng.integers(0, n, size=sample_size)
-            if len(np.unique(y[idx])) < 2 and len(np.unique(y)) >= 2:
+            present = len(np.unique(y[idx]))
+            if present < 2 and n_classes >= 2:
                 # Force at least two classes into the bootstrap sample.
-                for label in np.unique(y)[:2]:
+                for label in range(2):
                     members = np.flatnonzero(y == label)
                     idx[rng.integers(0, sample_size)] = members[rng.integers(0, len(members))]
+                present = len(np.unique(y[idx]))
             model = clone(base)
-            model.fit(X[idx], y[idx])
+            if isinstance(model, DecisionTreeClassifier) and present == n_classes:
+                as_member(model, n_classes, X.shape[1])
+                trees.append(model)
+                samples.append(idx)
+            else:
+                # A sample that lacks a class keeps its own label encoding.
+                model.fit(X[idx], y[idx])
             self.estimators_.append(model)
+        if trees:
+            # Tree members share one base sort-order matrix, expanded by each
+            # bootstrap's multiplicities, and grow in lockstep.
+            base_orders = kernels.feature_orders(X)
+            grow_together(trees, X, y, (
+                kernels.expand_orders(base_orders, np.bincount(idx, minlength=n))
+                for idx in samples
+            ))
 
     def _predict_proba(self, X: np.ndarray) -> np.ndarray:
         n_classes = len(self.classes_)
@@ -295,9 +323,21 @@ class RandomSubSpace(BaseClassifier):
         for _ in range(int(self.n_estimators)):
             features = rng.choice(n_features, size=k, replace=False)
             model = clone(base)
-            model.fit(X[:, features], y)
+            if isinstance(model, DecisionTreeClassifier):
+                as_member(model, len(self.classes_), k)
+            else:
+                model.fit(X[:, features], y)
             self.estimators_.append(model)
             self.subspaces_.append(features)
+        if isinstance(base, DecisionTreeClassifier):
+            # A member's orders are the base orders' rows of its subspace;
+            # the split kernel reads values through its column map.
+            base_orders = kernels.feature_orders(X)
+            grow_together(
+                self.estimators_, X, y,
+                (base_orders[features] for features in self.subspaces_),
+                columns=self.subspaces_,
+            )
 
     def _predict_proba(self, X: np.ndarray) -> np.ndarray:
         n_classes = len(self.classes_)
@@ -320,13 +360,15 @@ class RandomCommittee(BaseClassifier):
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
         rng = np.random.default_rng(self.random_state)
-        self.estimators_ = []
-        for _ in range(int(self.n_estimators)):
-            tree = RandomTree(
-                max_depth=self.max_depth, random_state=int(rng.integers(0, 2**31 - 1))
+        self.estimators_ = [
+            as_member(
+                RandomTree(max_depth=self.max_depth, random_state=int(rng.integers(0, 2**31 - 1))),
+                len(self.classes_),
+                X.shape[1],
             )
-            tree.fit(X, y)
-            self.estimators_.append(tree)
+            for _ in range(int(self.n_estimators))
+        ]
+        grow_together(self.estimators_, X, y, itertools.repeat(kernels.feature_orders(X)))
 
     def _predict_proba(self, X: np.ndarray) -> np.ndarray:
         n_classes = len(self.classes_)

@@ -6,7 +6,7 @@ import numpy as np
 
 from . import kernels
 from .base import BaseClassifier, check_is_fitted, export_labels
-from .tree import DecisionTreeClassifier, RandomTree
+from .tree import DecisionTreeClassifier, RandomTree, as_member, grow_together
 
 __all__ = ["RandomForest", "ExtraTrees"]
 
@@ -49,30 +49,34 @@ class RandomForest(BaseClassifier):
         rng = np.random.default_rng(self.random_state)
         n = X.shape[0]
         # The (F, n) stable sort-order matrix is computed ONCE per forest and
-        # shared by every member: each tree expands them by its bootstrap
-        # multiplicities instead of re-sorting its sampled matrix at every
-        # node.  Split scores only read cumulative label counts at value-run
-        # boundaries, which are permutation invariant, so the fitted members
-        # are identical to refitting on the materialised ``X[idx]``.
+        # shared by every member: each tree expands it by its bootstrap
+        # multiplicities instead of re-sorting its sampled matrix.  Split
+        # scores only read cumulative label counts at value-run boundaries,
+        # which are permutation invariant, so the fitted members are
+        # identical to refitting on the materialised ``X[idx]``.  The members
+        # then grow in lockstep, one batched split search per step.
         base_orders = kernels.feature_orders(X)
+        n_classes = len(self.classes_)
         self.estimators_: list[DecisionTreeClassifier] = []
+        samples: list[np.ndarray] = []
         for _ in range(int(self.n_estimators)):
             seed = int(rng.integers(0, 2**31 - 1))
             if self.bootstrap:
                 idx = rng.integers(0, n, size=n)
                 # Guarantee every class appears in the bootstrap sample so the
                 # member tree predicts over the full label set.
-                for label in range(len(self.classes_)):
+                for label in range(n_classes):
                     if not np.any(y[idx] == label):
                         members = np.flatnonzero(y == label)
                         idx[rng.integers(0, n)] = members[rng.integers(0, len(members))]
             else:
                 idx = np.arange(n)
-            tree = self._make_tree(seed)
-            tree._fit_from_base(
-                X, y, np.bincount(idx, minlength=n), base_orders, len(self.classes_)
-            )
-            self.estimators_.append(tree)
+            self.estimators_.append(as_member(self._make_tree(seed), n_classes, X.shape[1]))
+            samples.append(np.bincount(idx, minlength=n))
+        grow_together(
+            self.estimators_, X, y,
+            (kernels.expand_orders(base_orders, counts) for counts in samples),
+        )
 
     def _predict_proba(self, X: np.ndarray) -> np.ndarray:
         votes = np.zeros((X.shape[0], len(self.classes_)))

@@ -11,12 +11,15 @@ module collects those loops as array kernels:
   A classification node gathers the sorted labels of all ``k`` candidate
   features as one ``(k, n)`` array; one cumulative sum over its ``(k, n, C)``
   one-hot and one impurity pass score every threshold of every candidate,
-  so a node costs one kernel call instead of one per feature.  Regression
-  trees scan prefix sums one feature at a time.
+  so a node costs one kernel call instead of one per feature.  The member
+  trees of an ensemble grow in lockstep and send one batch per step: the
+  (node, candidate) rows of every member's current node are laid end to
+  end, so one call scores them all.  Regression trees scan prefix sums one
+  feature at a time.
 * **Sort-order reuse** (:func:`feature_orders`, :func:`filter_orders`,
   :func:`expand_orders`) — per-feature stable sort orders are one ``(F, n)``
-  int matrix, computed once per fit (once per *forest*, shared by every
-  member tree) and filtered down the recursion with one vectorized op; no
+  int matrix, computed once per fit (once per *ensemble*, shared by every
+  member tree) and filtered down the tree with one vectorized op; no
   node ever calls ``argsort`` again.  Filtering a stable full-dataset order
   by a membership mask yields exactly the stable argsort of the subset, so
   splits are bit-identical to the per-node-sort implementation.
@@ -110,81 +113,199 @@ def expand_orders(orders: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def _impurity_matrix(counts: np.ndarray, totals: np.ndarray, criterion: str) -> np.ndarray:
     """Impurity of each candidate split side; classes run along the last axis.
 
-    Replicates the scalar helpers of :mod:`repro.learners.tree` operation for
-    operation — ``gini``: ``1 - Σ (c/t)²``; ``entropy``: ``-Σ p·log2(p)`` over
-    the positive entries (zeros contribute an exact ``0.0``).
+    ``totals`` has the shape of ``counts`` without its class axis (or
+    broadcasts to it).  Replicates the scalar helpers of
+    :mod:`repro.learners.tree` operation for operation — ``gini``:
+    ``1 - Σ (c/t)²``; ``entropy``: ``-Σ p·log2(p)`` over the positive entries
+    (zeros contribute an exact ``0.0``).
     """
-    p = counts / totals[:, None]
+    p = counts / totals[..., None]
     if criterion == "gini":
         return 1.0 - np.sum(p * p, axis=-1)
     # log2(1) == 0, so empty classes contribute 0.0 * 0.0 — an exact 0.0.
     return -np.sum(p * np.log2(np.where(counts > 0, p, 1.0)), axis=-1)
 
 
+def _score_splits(
+    left: np.ndarray,
+    parent: np.ndarray,
+    differs: np.ndarray,
+    n_node,
+    n_left: np.ndarray,
+    n_right: np.ndarray,
+    size_ok: np.ndarray,
+    parent_impurity,
+    criterion: str,
+    min_impurity_decrease: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Impurity decrease and masked score of candidate split positions.
+
+    ``left`` holds the left-side class counts of every position (classes on
+    the last axis) and ``parent`` the node's counts; ``differs`` marks the
+    positions whose value differs from the next one, ``n_left``/``n_right``
+    are the side sizes and ``size_ok`` marks the positions whose sides are
+    large enough.  Invalid positions score ``-inf``.  Shapes broadcast: one
+    node passes ``(k, n - 1)`` positions with scalar node values, a batch
+    passes flat positions with per-position node values.
+    """
+    right = parent - left
+    weighted = (
+        n_left * _impurity_matrix(left, n_left, criterion)
+        + n_right * _impurity_matrix(right, n_right, criterion)
+    ) / n_node
+    decrease = parent_impurity - weighted
+    if criterion == "gain_ratio":
+        p_left = n_left / n_node
+        p_right = n_right / n_node
+        split_info = -(p_left * np.log2(p_left) + p_right * np.log2(p_right))
+        score = np.where(split_info > 0, decrease / split_info, 0.0)
+    else:
+        score = decrease
+    valid = differs & size_ok
+    valid &= decrease > min_impurity_decrease
+    return decrease, np.where(valid, score, -np.inf)
+
+
+def _row_chunks(lengths: np.ndarray, n_classes: int):
+    """Yield ``(first, stop)`` row ranges of at most
+    :data:`DEFAULT_CHUNK_ELEMENTS` one-hot elements (a longer row alone)."""
+    ends = np.cumsum(lengths) * n_classes
+    first = 0
+    while first < lengths.shape[0]:
+        offset = ends[first - 1] if first else 0
+        stop = int(np.searchsorted(ends, offset + DEFAULT_CHUNK_ELEMENTS, side="right"))
+        stop = max(stop, first + 1)
+        yield first, stop
+        first = stop
+
+
 def best_split_stacked(
     X: np.ndarray,
     y: np.ndarray,
-    orders: np.ndarray,
-    candidates: np.ndarray,
-    parent_counts: np.ndarray,
-    parent_impurity: float,
+    requests: list,
     criterion: str,
     min_samples_leaf: int,
     min_impurity_decrease: float,
-) -> tuple[int, float, float] | None:
-    """Best ``(feature, threshold, decrease)`` over all candidate features.
+    columns: list | None = None,
+) -> list[tuple[int, float, float] | None]:
+    """Best ``(feature, threshold, decrease)`` of every node in a batch.
 
-    ``orders`` is the node's ``(F, n)`` sort-order matrix.  The rows of the
-    ``candidates`` features are gathered as ``(k, n)`` sorted values and
-    labels; one cumulative sum over their ``(k, n, C)`` one-hot labels gives
-    the left-side class counts at every position, and one impurity pass
-    scores every threshold of every candidate.  A row-major ``argmax`` picks
-    the earliest candidate (in ``candidates`` order) holding the maximum,
-    then its earliest position — the tie rule of a strict ``score > best``
-    loop over candidates and positions.  Candidates are scored in chunks of
-    at most :data:`DEFAULT_CHUNK_ELEMENTS` one-hot elements, the maximum
-    carried across chunks with the same strict ``>``.
+    Each request is one node, ``(orders, candidates, counts, impurity)``:
+    its ``(F, n)`` sort-order matrix of row ids into ``X``/``y`` (at least
+    two), its candidate feature ids (rows of ``orders``), its class counts
+    and its impurity.  ``columns[b]``, when given and not ``None``, maps
+    request ``b``'s feature ids to columns of ``X`` (a tree grown on a
+    feature subspace); the returned features stay request-local.
+
+    Every (node, candidate) pair is one row of sorted values and labels.  A
+    batch lays its rows end to end, unpadded, so each node costs only its
+    own size: one cumulative sum over the ``(L, C)`` one-hot labels of all
+    rows, less each row's starting prefix, gives the left-side class counts
+    at every position, and one impurity pass scores them, with node size,
+    parent counts and parent impurity as per-position values.  Each row's
+    last position (nothing on the right) is masked.  A per-row first
+    maximum, then the first maximum over each node's rows, keeps the tie
+    rule of a strict ``score > best`` loop over candidates and positions:
+    the earliest candidate (in ``candidates`` order), then the earliest
+    position.  A one-node batch skips the layout: it scores its ``(k, n)``
+    rows with scalar node values and one row-major ``argmax``, which is the
+    same rule.  Rows are scored in chunks of at most
+    :data:`DEFAULT_CHUNK_ELEMENTS` one-hot elements; a one-node batch
+    carries its first maximum across chunks with the same strict ``>``,
+    and a batch's row results do not depend on the chunking.
     """
-    n = orders.shape[1]
-    if n < 2:
-        return None
-    n_classes = parent_counts.shape[0]
+    n_classes = requests[0][2].shape[0]
     one_hot_rows = np.eye(n_classes)
-    parent = parent_counts.astype(np.float64)
-    n_left = np.arange(1, n, dtype=np.float64)
-    n_right = n - n_left
-    size_ok = (n_left >= min_samples_leaf) & (n_right >= min_samples_leaf)
-    if criterion == "gain_ratio":
-        p_left = n_left / n
-        p_right = n_right / n
-        split_info = -(p_left * np.log2(p_left) + p_right * np.log2(p_right))
-    best: tuple[int, float, float] | None = None
-    best_score = -np.inf
-    for chunk in query_chunks(candidates.shape[0], n * n_classes):
-        features = candidates[chunk]
-        rows = orders[features]
-        values = X[rows, features[:, None]]
-        # Left side of split position i holds sorted samples 0..i.
-        left = np.cumsum(one_hot_rows[y[rows]], axis=1)[:, :-1]
-        right = parent - left
-        weighted = (
-            n_left * _impurity_matrix(left, n_left, criterion)
-            + n_right * _impurity_matrix(right, n_right, criterion)
-        ) / n
-        decrease = parent_impurity - weighted
-        if criterion == "gain_ratio":
-            score = np.where(split_info > 0, decrease / split_info, 0.0)
-        else:
-            score = decrease
-        valid = (values[:, :-1] != values[:, 1:]) & size_ok
-        valid &= decrease > min_impurity_decrease
-        masked = np.where(valid, score, -np.inf)
-        r, i = divmod(int(np.argmax(masked)), n - 1)
-        if masked[r, i] > best_score:
-            best_score = masked[r, i]
-            threshold = float((values[r, i] + values[r, i + 1]) / 2.0)
-            best = (int(features[r]), threshold, float(decrease[r, i]))
-    return best
+    if columns is None:
+        columns = [None] * len(requests)
+    if len(requests) == 1:
+        orders, candidates, counts, impurity = requests[0]
+        n = orders.shape[1]
+        if n < 2:
+            return [None]
+        features = candidates if columns[0] is None else columns[0][candidates]
+        parent = counts.astype(np.float64)
+        n_left = np.arange(1, n, dtype=np.float64)
+        n_right = n - n_left
+        size_ok = (n_left >= min_samples_leaf) & (n_right >= min_samples_leaf)
+        best: tuple[int, float, float] | None = None
+        best_score = -np.inf
+        for chunk in query_chunks(candidates.shape[0], n * n_classes):
+            rows = orders[candidates[chunk]]
+            values = X[rows, features[chunk, None]]
+            # Left side of split position i holds sorted samples 0..i.
+            left = np.cumsum(one_hot_rows[y[rows]], axis=1)[:, :-1]
+            decrease, masked = _score_splits(
+                left, parent, values[:, :-1] != values[:, 1:], n, n_left, n_right, size_ok,
+                impurity, criterion, min_impurity_decrease,
+            )
+            r, i = divmod(int(np.argmax(masked)), n - 1)
+            if masked[r, i] > best_score:
+                best_score = masked[r, i]
+                threshold = float((values[r, i] + values[r, i + 1]) / 2.0)
+                best = (int(candidates[chunk][r]), threshold, float(decrease[r, i]))
+        return [best]
+    widths = [request[1].shape[0] for request in requests]
+    local = np.concatenate([request[1] for request in requests])
+    features = np.concatenate(
+        [c if cols is None else cols[c] for (_, c, _, _), cols in zip(requests, columns)]
+    )
+    ids = np.concatenate([orders[c].ravel() for orders, c, _, _ in requests])
+    lengths = np.repeat([request[0].shape[1] for request in requests], widths)
+    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+    parent = np.repeat(np.array([request[2] for request in requests], dtype=np.float64),
+                       widths, axis=0)
+    parent_impurity = np.repeat([request[3] for request in requests], widths)
+    row_best = np.empty(local.shape[0])
+    threshold = np.empty(local.shape[0])
+    decrease_at = np.empty(local.shape[0])
+    for first, stop in _row_chunks(lengths, n_classes):
+        size = lengths[first:stop]
+        flat = slice(starts[first], starts[stop - 1] + size[-1])
+        chunk_ids = ids[flat]
+        values = X[chunk_ids, np.repeat(features[first:stop], size)]
+        # Positions run end to end over the chunk's rows; the last one (the
+        # final row's last position) has no successor and is dropped.
+        offset = np.repeat(starts[first:stop] - starts[first], size)[:-1]
+        prefix = np.cumsum(one_hot_rows[y[chunk_ids]], axis=0)
+        row_prefix = np.concatenate((np.zeros((1, n_classes)), prefix))[offset]
+        left = prefix[:-1] - row_prefix
+        n_node = np.repeat(size.astype(np.float64), size)[:-1]
+        # A row's last position repeats its previous one so the arithmetic
+        # stays finite; ``position < n_node`` masks it.
+        position = np.arange(1.0, left.shape[0] + 1.0) - offset
+        n_left = np.minimum(position, n_node - 1)
+        n_right = n_node - n_left
+        size_ok = (position < n_node) & (n_left >= min_samples_leaf)
+        size_ok &= n_right >= min_samples_leaf
+        decrease, masked = _score_splits(
+            left, np.repeat(parent[first:stop], size, axis=0)[:-1], values[:-1] != values[1:],
+            n_node, n_left, n_right, size_ok,
+            np.repeat(parent_impurity[first:stop], size)[:-1], criterion, min_impurity_decrease,
+        )
+        row_starts = starts[first:stop] - starts[first]
+        row_max = np.maximum.reduceat(masked, row_starts)
+        spans = size.copy()
+        spans[-1] -= 1
+        at = np.minimum.reduceat(
+            np.where(masked == np.repeat(row_max, spans), np.arange(masked.shape[0]),
+                     masked.shape[0]),
+            row_starts,
+        )
+        row_best[first:stop] = row_max
+        threshold[first:stop] = (values[at] + values[at + 1]) / 2.0
+        decrease_at[first:stop] = decrease[at]
+    node_starts = np.concatenate(([0], np.cumsum(widths)[:-1]))
+    node_best = np.maximum.reduceat(row_best, node_starts)
+    best_row = np.minimum.reduceat(
+        np.where(row_best == np.repeat(node_best, widths), np.arange(local.shape[0]),
+                 local.shape[0]),
+        node_starts,
+    )
+    return [
+        None if score == -np.inf else (int(local[r]), float(threshold[r]), float(decrease_at[r]))
+        for score, r in zip(node_best.tolist(), best_row.tolist())
+    ]
 
 
 def best_split_regression(

@@ -1,6 +1,6 @@
 """Decision-tree learners.
 
-A single recursive tree engine (:class:`DecisionTreeClassifier`) supports the
+A single tree grower (:class:`DecisionTreeClassifier`) supports the
 splitting criteria, feature subsampling and depth/size controls needed to
 express the Weka tree family referenced by the paper's catalogue (Table IV):
 ``J48`` (C4.5, gain-ratio), ``SimpleCart`` (Gini), ``REPTree`` (reduced-error
@@ -10,10 +10,15 @@ budget) and ``DecisionStump`` (depth 1).
 
 The fitting and prediction inner loops run on the vectorized kernels of
 :mod:`repro.learners.kernels`: per-feature stable sort orders are computed
-once per fit (and shared across a whole forest) as one ``(F, n)`` matrix
+once per fit (and shared across a whole ensemble) as one ``(F, n)`` matrix
 instead of re-sorting at every node, every threshold of every candidate
 feature of a node is scored in one stacked cumulative-count pass, and
 prediction walks the flattened tree arrays for a whole matrix at a time.
+The grower is a generator that yields a split request wherever a node
+needs a split search; :func:`grow_together` drives many of them in
+lockstep, so the member trees of an ensemble (RandomForest, ExtraTrees,
+Bagging, RandomSubSpace and RandomCommittee) share one batched split-kernel
+call per step.  A single fit is the same driver with one tree.
 Results are identical to the historical pure-Python implementation (frozen
 in :mod:`repro.learners._reference` and pinned by
 ``tests/learners/test_kernel_equivalence.py``).
@@ -21,7 +26,8 @@ in :mod:`repro.learners._reference` and pinned by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +36,8 @@ from .base import BaseClassifier, check_is_fitted, export_labels
 
 __all__ = [
     "DecisionTreeClassifier",
+    "grow_together",
+    "as_member",
     "J48",
     "SimpleCart",
     "REPTree",
@@ -51,27 +59,83 @@ class _Node:
     n_samples: int = 0
     depth: int = 0
     impurity: float = 0.0
-    children: list = field(default_factory=list)
 
     @property
     def is_leaf(self) -> bool:
         return self.feature is None
 
 
-def _entropy(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts[counts > 0] / total
-    return float(-np.sum(p * np.log2(p)))
+def _impurity(distribution: np.ndarray, criterion: str) -> float:
+    """Gini or entropy (``entropy``/``gain_ratio``) of a class distribution."""
+    if criterion == "gini":
+        return float(1.0 - (distribution * distribution).sum())
+    p = distribution[distribution > 0]
+    return float(-(p * np.log2(p)).sum())
 
 
-def _gini(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts / total
-    return float(1.0 - np.sum(p * p))
+def grow_together(trees, X: np.ndarray, y: np.ndarray, orders, columns=None) -> None:
+    """Fit ``trees`` on ``X``/``y`` by growing them in lockstep.
+
+    The trees share their split hyperparameters (the members of one
+    ensemble) and already carry ``classes_``; ``y`` holds label ids into
+    them.  ``orders`` yields each tree's root ``(F, n)`` sort-order matrix
+    (row ids may repeat: a bootstrap sample) and ``columns``, if given, each
+    tree's map from its feature ids to columns of ``X``.  At every step each
+    growing tree contributes the node it needs split, and one
+    :func:`kernels.best_split_stacked` call scores them all.  Each tree keeps
+    its own depth-first order and its own RNG, so it is bit-identical to the
+    same tree grown alone; a single :meth:`DecisionTreeClassifier.fit` is
+    this driver with one tree.  The trees growing at once are capped so
+    their root orders stay within :data:`kernels.DEFAULT_CHUNK_ELEMENTS`;
+    ``orders`` is consumed as trees start.
+    """
+    if not trees:
+        return
+    first = trees[0]
+    params = (first.criterion, int(first.min_samples_leaf), first.min_impurity_decrease)
+    members = zip(trees, orders, columns if columns is not None else itertools.repeat(None))
+    live = growing, growers, requests, maps = [], [], [], []
+    cap = 1
+    while True:
+        while len(growing) < cap and (member := next(members, None)) is not None:
+            tree, root_orders, tree_columns = member
+            if (tree.criterion, int(tree.min_samples_leaf), tree.min_impurity_decrease) != params:
+                raise ValueError("trees grown together must share their split parameters")
+            cap = max(1, kernels.DEFAULT_CHUNK_ELEMENTS // root_orders.size)
+            tree._n_classes = int(len(tree.classes_))
+            tree._n_internal = 0
+            rng = np.random.default_rng(tree.random_state)
+            growing.append(tree)
+            growers.append(tree._grow(X, y, root_orders, rng, tree_columns))
+            requests.append(None)
+            maps.append(tree_columns)
+            _advance(live, len(growing) - 1, None)
+        if not growing:
+            return
+        splits = kernels.best_split_stacked(X, y, requests, *params, columns=maps)
+        for index in range(len(splits) - 1, -1, -1):
+            _advance(live, index, splits[index])
+
+
+def as_member(tree: "DecisionTreeClassifier", n_classes: int, n_features: int):
+    """Ready ``tree`` to grow as an ensemble member on the ensemble's encoded
+    labels, every one of which occurs in its sample, and return it."""
+    tree.classes_ = np.arange(n_classes, dtype=np.int64)
+    tree.n_features_in_ = n_features
+    return tree
+
+
+def _advance(live: tuple, index: int, split) -> None:
+    """Send ``split`` to growing tree ``index``; keep its next request, or
+    finish the tree and drop it from the ``live`` lists."""
+    try:
+        live[2][index] = live[1][index].send(split)
+    except StopIteration as stop:
+        tree = live[0][index]
+        tree.tree_ = stop.value
+        tree._flat = kernels.flatten_tree(tree.tree_, tree._n_classes)
+        for column in live:
+            del column[index]
 
 
 class DecisionTreeClassifier(BaseClassifier):
@@ -116,11 +180,6 @@ class DecisionTreeClassifier(BaseClassifier):
         self.random_state = random_state
 
     # -- fitting -----------------------------------------------------------------
-    def _impurity(self, counts: np.ndarray) -> float:
-        if self.criterion == "gini":
-            return _gini(counts)
-        return _entropy(counts)
-
     def _n_candidate_features(self, n_features: int) -> int:
         if self.max_features is None:
             return n_features
@@ -130,119 +189,77 @@ class DecisionTreeClassifier(BaseClassifier):
             return max(1, int(np.log2(n_features)) if n_features > 1 else 1)
         return max(1, min(int(self.max_features), n_features))
 
-    def _best_split(
+    def _grow(
         self,
         X: np.ndarray,
         y: np.ndarray,
         orders: np.ndarray,
-        counts: np.ndarray,
-        impurity: float,
         rng: np.random.Generator,
-    ) -> tuple[int, float, float] | None:
-        """Return ``(feature, threshold, impurity_decrease)`` or ``None``.
+        columns: np.ndarray | None = None,
+    ):
+        """Grow the tree depth-first; a generator of split requests.
 
-        ``orders`` is the node's ``(F, n)`` matrix of sample ids (into
-        ``X``/``y``) in stable per-feature sorted order; ``counts`` and
-        ``impurity`` are the node's class counts and impurity.  One stacked
-        kernel call scores every threshold of every candidate feature, and no
-        ``argsort`` happens here.  Feature candidates are drawn with the same
-        RNG calls as the historical per-node loop; ties keep the earliest
-        candidate and earliest position, as before.
+        ``orders`` is the root's ``(F, n)`` matrix of row ids (into
+        ``X``/``y``) in stable per-feature sorted order, filtered down to
+        each node with one vectorized op.  ``columns`` maps the tree's
+        feature ids to columns of ``X`` (``None``: the identity).  Where a
+        node needs a split search the generator yields the request
+        ``(orders, candidates, counts, impurity)`` and receives the
+        ``(feature, threshold, decrease)`` split, or ``None``, back; it
+        returns the root.  Feature candidates are drawn with the same RNG
+        calls, node for node, as the historical recursion.
         """
-        n_features = X.shape[1]
+        n_features = orders.shape[0]
         k = self._n_candidate_features(n_features)
-        candidates = (
-            np.arange(n_features)
-            if k >= n_features
-            else rng.choice(n_features, size=k, replace=False)
-        )
-        return kernels.best_split_stacked(
-            X,
-            y,
-            orders,
-            candidates,
-            counts,
-            impurity,
-            self.criterion,
-            int(self.min_samples_leaf),
-            self.min_impurity_decrease,
-        )
-
-    def _build(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        orders: np.ndarray,
-        depth: int,
-        rng: np.random.Generator,
-    ) -> _Node:
-        counts = np.bincount(y[orders[0]], minlength=self._n_classes)
-        node = _Node(
-            prediction=counts / orders.shape[1],
-            n_samples=orders.shape[1],
-            depth=depth,
-            impurity=self._impurity(counts),
-        )
-        if (
-            np.count_nonzero(counts) <= 1
-            or orders.shape[1] < self.min_samples_split
-            or (self.max_depth is not None and depth >= self.max_depth)
-            or (self.max_nodes is not None and self._n_internal >= self.max_nodes)
-        ):
-            return node
-        split = self._best_split(X, y, orders, counts, node.impurity, rng)
-        if split is None:
-            return node
-        feature, threshold, _ = split
-        # Base-level membership mask of the left child; node orders only hold
-        # node members, so filtering by it partitions exactly this node.
-        mask = X[:, feature] <= threshold
-        node_mask = mask[orders[0]]
-        if node_mask.all() or not node_mask.any():
-            return node
-        self._n_internal += 1
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._build(X, y, kernels.filter_orders(orders, mask), depth + 1, rng)
-        node.right = self._build(X, y, kernels.filter_orders(orders, ~mask), depth + 1, rng)
-        return node
+        root = None
+        # Pending nodes as (orders, depth, parent, side); the left child is
+        # pushed last, so it and its subtree are grown before the right one.
+        stack: list = [(orders, 0, None, None)]
+        while stack:
+            orders, depth, parent, side = stack.pop()
+            counts = np.bincount(y[orders[0]], minlength=self._n_classes)
+            prediction = counts / orders.shape[1]
+            node = _Node(
+                prediction=prediction,
+                n_samples=orders.shape[1],
+                depth=depth,
+                impurity=_impurity(prediction, self.criterion),
+            )
+            if parent is None:
+                root = node
+            else:
+                setattr(parent, side, node)
+            if (
+                np.count_nonzero(counts) <= 1
+                or orders.shape[1] < self.min_samples_split
+                or (self.max_depth is not None and depth >= self.max_depth)
+                or (self.max_nodes is not None and self._n_internal >= self.max_nodes)
+            ):
+                continue
+            candidates = (
+                np.arange(n_features)
+                if k >= n_features
+                else rng.choice(n_features, size=k, replace=False)
+            )
+            split = yield orders, candidates, counts, node.impurity
+            if split is None:
+                continue
+            feature, threshold, _ = split
+            # Base-level membership mask of the left child; node orders only
+            # hold node members, so filtering by it partitions this node.
+            mask = X[:, feature if columns is None else columns[feature]] <= threshold
+            node_mask = mask[orders[0]]
+            if node_mask.all() or not node_mask.any():
+                continue
+            self._n_internal += 1
+            node.feature = feature
+            node.threshold = threshold
+            stack.append((kernels.filter_orders(orders, ~mask), depth + 1, node, "right"))
+            stack.append((kernels.filter_orders(orders, mask), depth + 1, node, "left"))
+        return root
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
-        self._n_classes = int(len(self.classes_))
-        self._n_internal = 0
-        rng = np.random.default_rng(self.random_state)
-        # The (F, n) per-feature stable sort-order matrix, computed once per
-        # fit and filtered down the recursion — no node ever sorts again.
-        orders = kernels.feature_orders(X)
-        self.tree_ = self._build(X, y, orders, depth=0, rng=rng)
-        self._flat = kernels.flatten_tree(self.tree_, self._n_classes)
-
-    def _fit_from_base(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        counts: np.ndarray,
-        base_orders: np.ndarray,
-        n_classes: int,
-    ) -> "DecisionTreeClassifier":
-        """Forest fast path: fit on a bootstrap multiset of pre-validated rows.
-
-        ``X``/``y`` are the forest's already-encoded training arrays;
-        ``counts[i]`` is how many times base row ``i`` appears in this
-        member's sample, and ``base_orders`` is the forest-wide ``(F, n)``
-        sort-order matrix computed once per ensemble fit.  The forest guarantees every class
-        appears in the sample, so the member's label encoding is the
-        identity — exactly what refitting on ``X[idx]`` used to produce.
-        """
-        self.classes_ = np.arange(n_classes, dtype=np.int64)
-        self.n_features_in_ = X.shape[1]
-        self._n_classes = int(n_classes)
-        self._n_internal = 0
-        rng = np.random.default_rng(self.random_state)
-        orders = kernels.expand_orders(base_orders, counts)
-        self.tree_ = self._build(X, y, orders, depth=0, rng=rng)
-        self._flat = kernels.flatten_tree(self.tree_, self._n_classes)
-        return self
+        grow_together([self], X, y, [kernels.feature_orders(X)])
 
     # -- prediction ----------------------------------------------------------------
     def _predict_proba(self, X: np.ndarray) -> np.ndarray:
