@@ -20,6 +20,7 @@ on top of numpy.
 from __future__ import annotations
 
 import copy
+import functools
 import inspect
 from typing import Any
 
@@ -33,6 +34,7 @@ __all__ = [
     "check_is_fitted",
     "clone",
     "export_labels",
+    "param_names",
 ]
 
 
@@ -90,6 +92,20 @@ def check_is_fitted(estimator: Any, attribute: str = "classes_") -> None:
         )
 
 
+@functools.cache
+def param_names(cls: type) -> tuple[str, ...]:
+    """Constructor keyword names of estimator class ``cls``, looked up once
+    per class (``clone`` asks for them for every CV fold and ensemble
+    member)."""
+    return tuple(
+        name
+        for name, parameter in inspect.signature(cls.__init__).parameters.items()
+        if name != "self"
+        and parameter.kind
+        not in (inspect.Parameter.VAR_POSITIONAL, inspect.Parameter.VAR_KEYWORD)
+    )
+
+
 def clone(estimator: "BaseClassifier") -> "BaseClassifier":
     """Return an unfitted copy of ``estimator`` with identical hyperparameters."""
     return type(estimator)(**copy.deepcopy(estimator.get_params()))
@@ -110,16 +126,7 @@ class BaseClassifier:
     # -- hyperparameter protocol -------------------------------------------------
     def get_params(self) -> dict[str, Any]:
         """Return the constructor keyword arguments of this estimator."""
-        signature = inspect.signature(type(self).__init__)
-        params = {}
-        for name, parameter in signature.parameters.items():
-            if name == "self" or parameter.kind in (
-                inspect.Parameter.VAR_POSITIONAL,
-                inspect.Parameter.VAR_KEYWORD,
-            ):
-                continue
-            params[name] = getattr(self, name)
-        return params
+        return {name: getattr(self, name) for name in param_names(type(self))}
 
     def set_params(self, **params: Any) -> "BaseClassifier":
         """Set hyperparameters in place and return ``self``."""

@@ -17,13 +17,12 @@ MLP (reused from :mod:`repro.learners.neural`), and a mean/median
 
 from __future__ import annotations
 
-import inspect
 from typing import Any
 
 import numpy as np
 
 from . import kernels
-from .base import NotFittedError, check_array
+from .base import NotFittedError, check_array, param_names
 from .metrics import r2_score
 
 __all__ = [
@@ -71,16 +70,7 @@ class BaseRegressor:
     # -- hyperparameter protocol -------------------------------------------------
     def get_params(self) -> dict[str, Any]:
         """Return the constructor keyword arguments of this estimator."""
-        signature = inspect.signature(type(self).__init__)
-        params = {}
-        for name, parameter in signature.parameters.items():
-            if name == "self" or parameter.kind in (
-                inspect.Parameter.VAR_POSITIONAL,
-                inspect.Parameter.VAR_KEYWORD,
-            ):
-                continue
-            params[name] = getattr(self, name)
-        return params
+        return {name: getattr(self, name) for name in param_names(type(self))}
 
     def set_params(self, **params: Any) -> "BaseRegressor":
         """Set hyperparameters in place and return ``self``."""

@@ -70,6 +70,27 @@ class TestBaseProtocol:
         model.set_params(max_depth=7)
         assert model.get_params()["max_depth"] == 7
 
+    def test_param_names_are_looked_up_once_per_class(self, monkeypatch):
+        import inspect
+
+        from repro.learners import base
+
+        class Probe(BaseClassifier):
+            def __init__(self, depth=3, *args, rate=0.5, **kwargs):
+                super().__init__()
+                self.depth = depth
+                self.rate = rate
+
+        calls = []
+        signature = inspect.signature
+        monkeypatch.setattr(
+            base.inspect, "signature", lambda fn: calls.append(fn) or signature(fn)
+        )
+        for _ in range(3):
+            assert Probe(depth=4).get_params() == {"depth": 4, "rate": 0.5}
+            assert clone(Probe(rate=0.1)).get_params() == {"depth": 3, "rate": 0.1}
+        assert len(calls) == 1
+
     def test_set_params_rejects_unknown(self):
         with pytest.raises(ValueError):
             J48().set_params(bogus=1)
