@@ -16,12 +16,12 @@ module collects those loops as array kernels:
   (node, candidate) rows of every member's current node are laid end to
   end, so one call scores them all.  Regression trees scan prefix sums one
   feature at a time.
-* **Sort-order reuse** (:func:`feature_orders`, :func:`filter_orders`,
+* **Sort-order reuse** (:func:`feature_orders`, :func:`split_orders`,
   :func:`expand_orders`) — per-feature stable sort orders are one ``(F, n)``
   int matrix, computed once per fit (once per *ensemble*, shared by every
-  member tree) and filtered down the tree with one vectorized op; no
-  node ever calls ``argsort`` again.  Filtering a stable full-dataset order
-  by a membership mask yields exactly the stable argsort of the subset, so
+  member tree) and split down the tree with one vectorized op; no node
+  ever calls ``argsort`` again.  Filtering a stable full-dataset order by a
+  membership mask yields exactly the stable argsort of the subset, so
   splits are bit-identical to the per-node-sort implementation.
 * **Flat tree inference** (:class:`FlatTree`, :func:`flat_predict_indices`) —
   fitted trees are flattened into feature/threshold/child arrays and a whole
@@ -48,7 +48,7 @@ import numpy as np
 
 __all__ = [
     "feature_orders",
-    "filter_orders",
+    "split_orders",
     "expand_orders",
     "best_split_stacked",
     "best_split_regression",
@@ -81,15 +81,17 @@ def feature_orders(X: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
 
 
-def filter_orders(orders: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Restrict every feature order to the rows where ``keep`` is True.
+def split_orders(orders: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Partition every feature order into the rows where ``mask`` holds and
+    the rest.
 
-    ``keep`` is indexed by the *base-row ids stored in the orders*.  Because
-    the parent orders are stable, the filtered rows are exactly the stable
-    argsort of the surviving rows — equal feature values keep their original
-    relative order.
+    ``mask`` is indexed by the *base-row ids stored in the orders*.  Because
+    the parent orders are stable, each side is exactly the stable argsort of
+    its rows — equal feature values keep their original relative order.
     """
-    return orders[keep[orders]].reshape(orders.shape[0], -1)
+    keep = mask[orders]
+    n_features = orders.shape[0]
+    return orders[keep].reshape(n_features, -1), orders[~keep].reshape(n_features, -1)
 
 
 def expand_orders(orders: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -114,7 +116,7 @@ def _impurity_matrix(counts: np.ndarray, totals: np.ndarray, criterion: str) -> 
     """Impurity of each candidate split side; classes run along the last axis.
 
     ``totals`` has the shape of ``counts`` without its class axis (or
-    broadcasts to it).  Replicates the scalar helpers of
+    broadcasts to it).  Replicates the scalar node impurity of
     :mod:`repro.learners.tree` operation for operation — ``gini``:
     ``1 - Σ (c/t)²``; ``entropy``: ``-Σ p·log2(p)`` over the positive entries
     (zeros contribute an exact ``0.0``).

@@ -393,12 +393,9 @@ class DecisionTreeRegressor(BaseRegressor):
             return node
         node.feature = feature
         node.threshold = threshold
-        node.left = self._grow(
-            X, y, idx[node_mask], kernels.filter_orders(orders, mask), depth + 1, rng
-        )
-        node.right = self._grow(
-            X, y, idx[~node_mask], kernels.filter_orders(orders, ~mask), depth + 1, rng
-        )
+        left, right = kernels.split_orders(orders, mask)
+        node.left = self._grow(X, y, idx[node_mask], left, depth + 1, rng)
+        node.right = self._grow(X, y, idx[~node_mask], right, depth + 1, rng)
         return node
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:

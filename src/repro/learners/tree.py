@@ -200,7 +200,7 @@ class DecisionTreeClassifier(BaseClassifier):
         """Grow the tree depth-first; a generator of split requests.
 
         ``orders`` is the root's ``(F, n)`` matrix of row ids (into
-        ``X``/``y``) in stable per-feature sorted order, filtered down to
+        ``X``/``y``) in stable per-feature sorted order, split down to
         each node with one vectorized op.  ``columns`` maps the tree's
         feature ids to columns of ``X`` (``None``: the identity).  Where a
         node needs a split search the generator yields the request
@@ -246,16 +246,17 @@ class DecisionTreeClassifier(BaseClassifier):
                 continue
             feature, threshold, _ = split
             # Base-level membership mask of the left child; node orders only
-            # hold node members, so filtering by it partitions this node.
-            mask = X[:, feature if columns is None else columns[feature]] <= threshold
-            node_mask = mask[orders[0]]
-            if node_mask.all() or not node_mask.any():
+            # hold node members, so splitting by it partitions this node.
+            left, right = kernels.split_orders(
+                orders, X[:, feature if columns is None else columns[feature]] <= threshold
+            )
+            if not (left.shape[1] and right.shape[1]):
                 continue
             self._n_internal += 1
             node.feature = feature
             node.threshold = threshold
-            stack.append((kernels.filter_orders(orders, ~mask), depth + 1, node, "right"))
-            stack.append((kernels.filter_orders(orders, mask), depth + 1, node, "left"))
+            stack.append((right, depth + 1, node, "right"))
+            stack.append((left, depth + 1, node, "left"))
         return root
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:

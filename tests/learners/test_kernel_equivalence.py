@@ -329,17 +329,17 @@ def test_query_chunks_cover_exactly_once():
     assert np.array_equal(marks, np.ones(103, dtype=int))
 
 
-def test_filter_orders_is_stable_subset_argsort():
+def test_split_orders_is_stable_subset_argsort():
     rng = np.random.default_rng(0)
     X = np.round(rng.normal(size=(60, 3)), 1)
     orders = kernels.feature_orders(X)
     keep = rng.random(60) < 0.5
-    filtered = kernels.filter_orders(orders, keep)
-    sub = X[keep]
-    base_ids = np.flatnonzero(keep)
-    for j in range(X.shape[1]):
-        expected = base_ids[np.argsort(sub[:, j], kind="stable")]
-        assert np.array_equal(filtered[j], expected)
+    for side, rows in zip(kernels.split_orders(orders, keep), (keep, ~keep)):
+        sub = X[rows]
+        base_ids = np.flatnonzero(rows)
+        for j in range(X.shape[1]):
+            expected = base_ids[np.argsort(sub[:, j], kind="stable")]
+            assert np.array_equal(side[j], expected)
 
 
 def test_flat_tree_matches_recursive_walk():

@@ -133,7 +133,7 @@ def test_batched_kernel_reads_values_through_column_maps():
         subspace = np.array(subspace)
         keep = np.zeros(80, dtype=bool)
         keep[rng.choice(80, size=size, replace=False)] = True
-        orders = kernels.filter_orders(base[subspace], keep)
+        orders = kernels.split_orders(base[subspace], keep)[0]
         counts = np.bincount(y[orders[0]], minlength=3)
         candidates = np.arange(len(subspace))[::-1].copy()
         requests.append((orders, candidates, counts, _entropy(counts)))
