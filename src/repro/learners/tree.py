@@ -99,8 +99,6 @@ def grow_together(trees, X: np.ndarray, y: np.ndarray, orders, columns=None) -> 
     while True:
         while len(growing) < cap and (member := next(members, None)) is not None:
             tree, root_orders, tree_columns = member
-            if (tree.criterion, int(tree.min_samples_leaf), tree.min_impurity_decrease) != params:
-                raise ValueError("trees grown together must share their split parameters")
             cap = max(1, kernels.DEFAULT_CHUNK_ELEMENTS // root_orders.size)
             tree._n_classes = int(len(tree.classes_))
             tree._n_internal = 0
