@@ -168,19 +168,6 @@ def _score_splits(
     return decrease, np.where(valid, score, -np.inf)
 
 
-def _row_chunks(lengths: np.ndarray, n_classes: int):
-    """Yield ``(first, stop)`` row ranges of at most
-    :data:`DEFAULT_CHUNK_ELEMENTS` one-hot elements (a longer row alone)."""
-    ends = np.cumsum(lengths) * n_classes
-    first = 0
-    while first < lengths.shape[0]:
-        offset = ends[first - 1] if first else 0
-        stop = int(np.searchsorted(ends, offset + DEFAULT_CHUNK_ELEMENTS, side="right"))
-        stop = max(stop, first + 1)
-        yield first, stop
-        first = stop
-
-
 def best_split_stacked(
     X: np.ndarray,
     y: np.ndarray,
@@ -212,9 +199,10 @@ def best_split_stacked(
     position.  A one-node batch skips the layout: it scores its ``(k, n)``
     rows with scalar node values and one row-major ``argmax``, which is the
     same rule.  Rows are scored in chunks of at most
-    :data:`DEFAULT_CHUNK_ELEMENTS` one-hot elements; a one-node batch
-    carries its first maximum across chunks with the same strict ``>``,
-    and a batch's row results do not depend on the chunking.
+    :data:`DEFAULT_CHUNK_ELEMENTS` one-hot elements (counting every row at
+    the longest node's size); a one-node batch carries its first maximum
+    across chunks with the same strict ``>``, and a batch's row results do
+    not depend on the chunking.
     """
     n_classes = requests[0][2].shape[0]
     one_hot_rows = np.eye(n_classes)
@@ -261,17 +249,16 @@ def best_split_stacked(
     row_best = np.empty(local.shape[0])
     threshold = np.empty(local.shape[0])
     decrease_at = np.empty(local.shape[0])
-    for first, stop in _row_chunks(lengths, n_classes):
-        size = lengths[first:stop]
-        flat = slice(starts[first], starts[stop - 1] + size[-1])
-        chunk_ids = ids[flat]
-        values = X[chunk_ids, np.repeat(features[first:stop], size)]
+    for rows in query_chunks(local.shape[0], int(lengths.max()) * n_classes):
+        size = lengths[rows]
+        chunk_ids = ids[starts[rows.start] : starts[rows.stop - 1] + size[-1]]
+        values = X[chunk_ids, np.repeat(features[rows], size)]
         # Positions run end to end over the chunk's rows; the last one (the
         # final row's last position) has no successor and is dropped.
-        offset = np.repeat(starts[first:stop] - starts[first], size)[:-1]
+        row_starts = starts[rows] - starts[rows.start]
+        offset = np.repeat(row_starts, size)[:-1]
         prefix = np.cumsum(one_hot_rows[y[chunk_ids]], axis=0)
-        row_prefix = np.concatenate((np.zeros((1, n_classes)), prefix))[offset]
-        left = prefix[:-1] - row_prefix
+        left = prefix[:-1] - np.concatenate((np.zeros((1, n_classes)), prefix))[offset]
         n_node = np.repeat(size.astype(np.float64), size)[:-1]
         # A row's last position repeats its previous one so the arithmetic
         # stays finite; ``position < n_node`` masks it.
@@ -281,11 +268,10 @@ def best_split_stacked(
         size_ok = (position < n_node) & (n_left >= min_samples_leaf)
         size_ok &= n_right >= min_samples_leaf
         decrease, masked = _score_splits(
-            left, np.repeat(parent[first:stop], size, axis=0)[:-1], values[:-1] != values[1:],
+            left, np.repeat(parent[rows], size, axis=0)[:-1], values[:-1] != values[1:],
             n_node, n_left, n_right, size_ok,
-            np.repeat(parent_impurity[first:stop], size)[:-1], criterion, min_impurity_decrease,
+            np.repeat(parent_impurity[rows], size)[:-1], criterion, min_impurity_decrease,
         )
-        row_starts = starts[first:stop] - starts[first]
         row_max = np.maximum.reduceat(masked, row_starts)
         spans = size.copy()
         spans[-1] -= 1
@@ -294,9 +280,9 @@ def best_split_stacked(
                      masked.shape[0]),
             row_starts,
         )
-        row_best[first:stop] = row_max
-        threshold[first:stop] = (values[at] + values[at + 1]) / 2.0
-        decrease_at[first:stop] = decrease[at]
+        row_best[rows] = row_max
+        threshold[rows] = (values[at] + values[at + 1]) / 2.0
+        decrease_at[rows] = decrease[at]
     node_starts = np.concatenate(([0], np.cumsum(widths)[:-1]))
     node_best = np.maximum.reduceat(row_best, node_starts)
     best_row = np.minimum.reduceat(

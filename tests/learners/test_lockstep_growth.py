@@ -63,12 +63,12 @@ def _one_at_a_time(monkeypatch):
 
 
 def _batch_spy(monkeypatch) -> list:
-    """Record the node sizes of every batch the split kernel scores."""
+    """Record every batch the split kernel scores as (rows, candidates) per node."""
     batches: list = []
     kernel = kernels.best_split_stacked
 
     def spy(X, y, requests, *args, **kwargs):
-        batches.append([request[0].shape[1] for request in requests])
+        batches.append([(request[0].shape[1], len(request[1])) for request in requests])
         return kernel(X, y, requests, *args, **kwargs)
 
     monkeypatch.setattr(kernels, "best_split_stacked", spy)
@@ -82,11 +82,11 @@ def test_members_grown_together_match_members_grown_alone(case, dataset, monkeyp
     batches = _batch_spy(monkeypatch)
     together = CASES[case]().fit(X, y)
     # The batches mixed members whose current nodes differ in size.
-    assert any(len(set(sizes)) > 1 for sizes in batches)
+    assert any(len({n for n, _ in nodes}) > 1 for nodes in batches)
     _one_at_a_time(monkeypatch)
     batches.clear()
     alone = CASES[case]().fit(X, y)
-    assert batches and all(len(sizes) == 1 for sizes in batches)
+    assert batches and all(len(nodes) == 1 for nodes in batches)
     assert _members(together) == _members(alone)
     assert np.array_equal(together.predict_proba(Xq), alone.predict_proba(Xq))
 
@@ -169,15 +169,14 @@ def test_small_budget_forces_row_chunks_and_member_groups(monkeypatch):
     single = [_members(model) for model in models()]
     monkeypatch.setattr(kernels, "DEFAULT_CHUNK_ELEMENTS", 4 * X.size)
     batches = _batch_spy(monkeypatch)
-    chunks: list = []
-    row_chunks = kernels._row_chunks
-    monkeypatch.setattr(
-        kernels, "_row_chunks",
-        lambda *args: chunks.append(list(row_chunks(*args))) or iter(chunks[-1]),
-    )
     chunked = [_members(model) for model in models()]
-    assert max(len(sizes) for sizes in batches) == 4
-    assert max(len(spans) for spans in chunks) > 1
+    assert max(len(nodes) for nodes in batches) == 4
+    # Batches whose (node, candidate) rows the budget split into chunks.
+    assert any(
+        len(nodes) > 1
+        and len(list(kernels.query_chunks(sum(k for _, k in nodes), max(nodes)[0] * 3))) > 1
+        for nodes in batches
+    )
     assert chunked == single
 
 
@@ -211,7 +210,7 @@ def test_bagging_member_without_a_class_grows_alone(base, monkeypatch):
     # Both paths ran: members missing class 2 keep a local two-label
     # encoding and grow alone; the others grow together.
     assert 2 in n_classes and 3 in n_classes
-    assert any(len(sizes) > 1 for sizes in batches)
+    assert any(len(nodes) > 1 for nodes in batches)
     proba = np.ascontiguousarray(model.predict_proba(Xq))
     digest = hashlib.sha256(repr(proba.shape).encode() + proba.tobytes()).hexdigest()[:24]
     assert digest == RARE_CLASS_GOLDEN[base]
