@@ -78,15 +78,13 @@ class Bagging(BaseClassifier):
         trees, samples = [], []
         for _ in range(int(self.n_estimators)):
             idx = rng.integers(0, n, size=sample_size)
-            present = len(np.unique(y[idx]))
-            if present < 2 and n_classes >= 2:
+            if len(np.unique(y[idx])) < 2 and len(np.unique(y)) >= 2:
                 # Force at least two classes into the bootstrap sample.
-                for label in range(2):
+                for label in np.unique(y)[:2]:
                     members = np.flatnonzero(y == label)
                     idx[rng.integers(0, sample_size)] = members[rng.integers(0, len(members))]
-                present = len(np.unique(y[idx]))
             model = clone(base)
-            if isinstance(model, DecisionTreeClassifier) and present == n_classes:
+            if isinstance(model, DecisionTreeClassifier) and len(np.unique(y[idx])) == n_classes:
                 as_member(model, n_classes, X.shape[1])
                 trees.append(model)
                 samples.append(idx)
