@@ -18,7 +18,7 @@ The grower is a generator that yields a split request wherever a node
 needs a split search; :func:`grow_together` drives many of them in
 lockstep, so the member trees of an ensemble (RandomForest, ExtraTrees,
 Bagging, RandomSubSpace and RandomCommittee) share one batched split-kernel
-call per step.  A single fit is the same driver with one tree.
+call per step.  A single fit is :func:`grow_together` with one tree.
 Results are identical to the historical pure-Python implementation (frozen
 in :mod:`repro.learners._reference` and pinned by
 ``tests/learners/test_kernel_equivalence.py``).
@@ -85,7 +85,7 @@ def grow_together(trees, X: np.ndarray, y: np.ndarray, orders, columns=None) -> 
     :func:`kernels.best_split_stacked` call scores them all.  Each tree keeps
     its own depth-first order and its own RNG, so it is bit-identical to the
     same tree grown alone; a single :meth:`DecisionTreeClassifier.fit` is
-    this driver with one tree.  The trees growing at once are capped so
+    this function with one tree.  The trees growing at once are capped so
     their root orders stay within :data:`kernels.DEFAULT_CHUNK_ELEMENTS`;
     ``orders`` is consumed as trees start.
     """
